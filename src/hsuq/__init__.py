@@ -40,7 +40,7 @@ from .kernels import (
     score_m,
     zeta,
 )
-from .posterior import CoordinatePosterior, PosteriorBatch
+from .posterior import PosteriorBatch
 from .selection import (
     discovery_report,
     select_by_interval,
@@ -54,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chain",
-    "CoordinatePosterior",
     "CredibleBall",
     "CredibleInterval",
     "GlobalScale",

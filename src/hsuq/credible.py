@@ -19,7 +19,9 @@ from scipy.special import ndtri
 from .kernels import (
     GlobalScale,
     SparsityRate,
+    _as_obs,
     posterior_fourth_central,
+    posterior_mean,
     posterior_variance,
     zeta,
 )
@@ -104,21 +106,10 @@ class ExcessiveBiasReport:
     constants: dict = field(default_factory=dict)
 
 
-def _as_vector(Y, name="Y"):
-    arr = np.asarray(Y, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        raise ValueError(f"coordinate {int(np.argmax(bad))}: value not finite")
-    return arr
-
-
 def interval_batch(Y, tau, alpha, L=1.0):
     """One marginal credible interval per coordinate, shared tau."""
     if L <= 0.0:
         raise ValueError(f"blow-up factor must be positive, got {L}")
-    Y = _as_vector(Y)
     batch = PosteriorBatch(Y, tau)
     radii = batch.radius_batch(alpha)
     return [
@@ -137,7 +128,6 @@ def ball_radius(Y, tau, alpha, draws, rng):
     draws = int(draws)
     if draws < 1000:
         raise ValueError(f"need at least 1000 draws for a stable quantile, got {draws}")
-    Y = _as_vector(Y)
     batch = PosteriorBatch(Y, tau)
     M = batch.draw_matrix(draws, rng)
     dist = np.linalg.norm(M - batch.means[None, :], axis=1)
@@ -155,7 +145,7 @@ def ball_radius_approx(Y, tau, alpha):
     the standard deviation of ||theta - mean||^2. No sampling; useful as
     a cheap cross-check, not a replacement for the Monte Carlo radius.
     """
-    Y = _as_vector(Y)
+    Y = _as_obs(Y, 1)
     t = tau.tau if isinstance(tau, GlobalScale) else float(tau)
     v = posterior_variance(Y, t)
     mu4 = posterior_fourth_central(Y, t)
@@ -172,19 +162,19 @@ def credible_ball(Y, tau, alpha, L, draws, rng, method="mc"):
     """
     if L <= 0.0:
         raise ValueError(f"blow-up factor must be positive, got {L}")
-    Y = _as_vector(Y)
-    batch = PosteriorBatch(Y, tau)
+    Y = _as_obs(Y, 1)
+    center = posterior_mean(Y, tau)
     if method == "approx":
         r = ball_radius_approx(Y, tau, alpha)
         return CredibleBall(
-            center=batch.means, radius=float(L) * r, alpha=float(alpha),
+            center=center, radius=float(L) * r, alpha=float(alpha),
             blowup_L=float(L), mc_draws=0, mc_se=0.0, approx=True,
         )
     if method != "mc":
         raise ValueError(f"unknown ball method {method!r}")
     r, se = ball_radius(Y, tau, alpha, draws, rng)
     return CredibleBall(
-        center=batch.means, radius=float(L) * r, alpha=float(alpha),
+        center=center, radius=float(L) * r, alpha=float(alpha),
         blowup_L=float(L), mc_draws=int(draws), mc_se=float(L) * se,
     )
 
@@ -248,7 +238,7 @@ def self_similar_check(theta0, p, A=2.0, Cs=1.0):
         raise ValueError(f"need A > 1, got {A}")
     if not Cs >= 1.0:
         raise ValueError(f"need Cs >= 1, got {Cs}")
-    a = np.sort(np.abs(_as_vector(theta0, "theta0")))
+    a = np.sort(np.abs(_as_obs(theta0, 1)))
     n = a.size
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}")
@@ -271,7 +261,7 @@ def excessive_bias_diagnostic(theta0, A=2.0, Cs=1.0, C=None):
         C = 2.0 * A * A
     if C <= 0.0:
         raise ValueError(f"need C > 0, got {C}")
-    theta0 = _as_vector(theta0, "theta0")
+    theta0 = _as_obs(theta0, 1)
     a = np.sort(np.abs(theta0))
     n = a.size
     sq = np.concatenate([[0.0], np.cumsum(a * a)])

@@ -50,7 +50,7 @@ from .kernels import (
     score_m,
     zeta,
 )
-from .posterior import CoordinatePosterior, PosteriorBatch, cdf, rand_draw
+from .posterior import PosteriorBatch
 from .selection import discovery_report, select_by_interval, select_by_threshold
 from .tau import mmle, simple_estimator
 
@@ -228,12 +228,6 @@ class MethodResult:
     ball: CredibleBall | None = None
 
 
-def _interval_from_moments(y, t, z, L, alpha):
-    half = L * z * math.sqrt(posterior_variance(y, t))
-    return CredibleInterval(center=float(posterior_mean(y, t)),
-                            half_width=float(half), alpha=alpha, blowup_L=L)
-
-
 def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
                want_ball=False, ball_draws=2000):
     """Run one interval method on one data vector.
@@ -259,7 +253,11 @@ def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
     elif method == "normal-approx":
         tau = mmle(Y).value
         z = 1.96 if alpha == 0.05 else float(ndtri(1.0 - alpha / 2.0))
-        intervals = [_interval_from_moments(y, tau.tau, z, L, alpha) for y in Y]
+        centers = posterior_mean(Y, tau.tau)
+        halves = L * z * np.sqrt(posterior_variance(Y, tau.tau))
+        intervals = [CredibleInterval(center=float(c), half_width=float(h),
+                                      alpha=alpha, blowup_L=L)
+                     for c, h in zip(centers, halves)]
         ball = None
         if want_ball:
             rng = np.random.default_rng([seed, 104729])
@@ -672,11 +670,11 @@ def _check_oracle_moments(params):
             om, ov = _brute_posterior_moments(y, t)
             worst = max(worst, abs(float(posterior_mean(y, t)) - om),
                         abs(float(posterior_variance(y, t)) - ov))
-    post = CoordinatePosterior(3.0, GlobalScale(0.1))
-    draws = rand_draw(post, np.random.default_rng(2024), size=10_000_000)
+    post = PosteriorBatch([3.0], GlobalScale(0.1))
+    draws = post.draw_matrix(10_000_000, np.random.default_rng(2024))
     worst_z = 0.0
     for t in (-0.5, 0.2, 0.8, 1.5, 2.6):
-        F = float(cdf(post, t))
+        F = float(post.cdf_rows(t)[0])
         emp = float(np.mean(draws <= t))
         se = math.sqrt(F * (1.0 - F) / draws.size)
         worst_z = max(worst_z, abs(emp - F) / se)

@@ -33,7 +33,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, gammainccinv
 
 from .credible import CredibleBall, CredibleInterval
-from .kernels import SparsityRate
+from .kernels import SparsityRate, _as_obs
 from .tau import simple_estimator
 
 __all__ = [
@@ -228,15 +228,6 @@ def gibbs_step(state, Y, prior, rng):
     return GibbsState(theta=theta, lambda2=lam2, nu=nu, tau2=tau2, xi=xi)
 
 
-def _as_obs(Y):
-    arr = np.asarray(Y, dtype=float).ravel()
-    if arr.size < 2:
-        raise ValueError("need at least two observations")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("observations must be finite")
-    return arr
-
-
 def run_chain(Y, prior, iters=12000, burn_in=2000, thin=1, seed=0):
     """Run the Gibbs sampler and keep every thin-th post-burn-in state.
 
@@ -244,7 +235,7 @@ def run_chain(Y, prior, iters=12000, burn_in=2000, thin=1, seed=0):
     auxiliaries at one, and tau at the threshold-count estimator clamped
     into the prior support.
     """
-    Y = _as_obs(Y)
+    Y = _as_obs(Y, 2)
     n = Y.size
     if not isinstance(prior, HyperPrior):
         raise TypeError(f"prior must be a HyperPrior, got {type(prior).__name__}")

@@ -263,6 +263,17 @@ def _mixture_moments(
     return out
 
 
+def _as_obs(Y, min_size):
+    """Observation vector as a flat float array of at least min_size finite values."""
+    arr = np.asarray(Y, dtype=float).ravel()
+    if arr.size < min_size:
+        raise ValueError(f"need at least {min_size} values, got {arr.size}")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"coordinate {int(np.argmax(bad))}: value not finite")
+    return arr
+
+
 def _as_flat(y):
     arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(arr)):

@@ -8,124 +8,28 @@ to z^(-1/2) (tau^2 + (1 - tau^2) z)^(-1) exp(y^2 z / 2). Everything in
 this module reduces to quadrature against that weight distribution,
 reusing the panel layout of the kernels module. The exp(y^2 z / 2)
 factor is always damped by exp(-y^2 / 2) so nothing overflows.
+
+`PosteriorBatch` is the one posterior type; a single coordinate is a
+one-row batch, `PosteriorBatch([y], tau)`.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .kernels import (
     GlobalScale,
+    _as_obs,
     _panel_edges,
     _panel_nodes,
     _split_edges,
-    log_integral_Ik,
     posterior_mean,
     posterior_variance,
 )
 
-__all__ = [
-    "CoordinatePosterior",
-    "ShrinkWeightLaw",
-    "PosteriorBatch",
-    "cdf",
-    "quantile",
-    "rand_draw",
-    "interval_radius",
-    "marginal_interval",
-]
-
-
-def _weight_nodes(y, tau, splits=2):
-    """Quadrature nodes/weights for the shrinkage-weight law in u = sqrt(z).
-
-    Returns (u, W) with W normalized to sum to one, so sums of
-    f(u^2) * W approximate conditional expectations E[f(z) | y].
-    """
-    edges = _panel_edges(tau, abs(y))
-    for _ in range(splits):
-        edges = _split_edges(edges)
-    u, wt = _panel_nodes(edges, 16)
-    raw = wt * 2.0 / (tau * tau + (1.0 - tau * tau) * u * u)
-    raw = raw * np.exp(-0.5 * y * y * (1.0 - u * u))
-    total = float(raw.sum())
-    return u, raw / total, total, edges
-
-
-class ShrinkWeightLaw:
-    """Distribution of the shrinkage weight z given one observation.
-
-    Carries a quadrature representation for expectations and a dense
-    monotone CDF grid for inverse-transform sampling.
-    """
-
-    def __init__(self, y, tau):
-        self.y = float(y)
-        if not math.isfinite(self.y):
-            raise ValueError("observation must be finite")
-        self.tau = tau if isinstance(tau, GlobalScale) else GlobalScale(float(tau))
-        t = self.tau.tau
-        self._u, self._W, total, self._edges = _weight_nodes(self.y, t)
-        # The same mass computed through the kernel integral; the ratio
-        # measures how far the discretized law is from integrating to one.
-        log_j = log_integral_Ik(self.y, t, -0.5) - 0.5 * self.y * self.y
-        self.normalization_defect = total / math.exp(log_j) - 1.0
-
-    @property
-    def nodes(self):
-        """(z, sqrt_z, weight) arrays of the quadrature representation."""
-        return self._u * self._u, self._u, self._W
-
-    def pdf(self, z):
-        """Density of z on (0, 1), damped so large y cannot overflow."""
-        z = np.asarray(z, dtype=float)
-        t = self.tau.tau
-        y = self.y
-        log_j = log_integral_Ik(y, t, -0.5) - 0.5 * y * y
-        out = np.zeros_like(z)
-        ok = (z > 0.0) & (z < 1.0)
-        zz = z[ok]
-        num = -0.5 * np.log(zz) - np.log(t * t + (1.0 - t * t) * zz)
-        out[ok] = np.exp(num - 0.5 * y * y * (1.0 - zz) - log_j)
-        return out if out.ndim else float(out)
-
-    @cached_property
-    def _grid(self):
-        # Dense knot grid in u with extra resolution in the rational knee
-        # near u ~ tau and in the boundary layer 1 - u ~ 1/(1 + y^2).
-        t = self.tau.tau
-        y2 = self.y * self.y
-        parts = [np.linspace(0.0, 1.0, 4097)]
-        if t < 0.25:
-            parts.append(np.geomspace(t / 64.0, 0.4, 513))
-        s = 1.0 / (1.0 + y2)
-        if s < 0.25:
-            parts.append(1.0 - np.geomspace(s / 64.0, 0.5, 513))
-        knots = np.unique(np.concatenate(parts))
-        dens = 2.0 / (t * t + (1.0 - t * t) * knots * knots)
-        dens = dens * np.exp(-0.5 * y2 * (1.0 - knots * knots))
-        seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(knots)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        dens /= cum[-1]
-        cum /= cum[-1]
-        cum[-1] = 1.0
-        return knots, dens, cum
-
-    def sample(self, size, rng):
-        """Inverse-CDF draws of z, vectorized over `size`."""
-        knots, dens, cum = self._grid
-        v = rng.random(size)
-        seg = np.clip(np.searchsorted(cum, v, side="right") - 1, 0, len(knots) - 2)
-        rho = v - cum[seg]
-        a = dens[seg]
-        b = dens[seg + 1]
-        width = knots[seg + 1] - knots[seg]
-        u = knots[seg] + _linear_density_invert(a, b, width, rho)
-        return u * u
+__all__ = ["PosteriorBatch"]
 
 
 def _linear_density_invert(a, b, width, rho):
@@ -142,167 +46,18 @@ def _linear_density_invert(a, b, width, rho):
     return np.clip(s, 0.0, width)
 
 
-@dataclass(frozen=True)
-class CoordinatePosterior:
-    """Posterior of one coordinate mean given its observation and tau."""
-
-    y: float
-    tau: GlobalScale
-
-    def __init__(self, y, tau):
-        object.__setattr__(self, "y", float(y))
-        if not math.isfinite(self.y):
-            raise ValueError("observation must be finite")
-        if not isinstance(tau, GlobalScale):
-            tau = GlobalScale(float(tau))
-        object.__setattr__(self, "tau", tau)
-
-    @cached_property
-    def law(self) -> ShrinkWeightLaw:
-        return ShrinkWeightLaw(self.y, self.tau)
-
-    @cached_property
-    def mean(self) -> float:
-        return posterior_mean(self.y, self.tau.tau)
-
-    @cached_property
-    def variance(self) -> float:
-        return posterior_variance(self.y, self.tau.tau)
-
-    # Convenience method forms of the module-level operations.
-    def cdf(self, t):
-        return cdf(self, t)
-
-    def quantile(self, p):
-        return quantile(self, p)
-
-    def rand_draw(self, rng, size=None):
-        return rand_draw(self, rng, size=size)
-
-    def interval_radius(self, alpha):
-        return interval_radius(self, alpha)
-
-    def marginal_interval(self, alpha, L=1.0):
-        return marginal_interval(self, alpha, L)
-
-
-def cdf(post: CoordinatePosterior, t):
-    """P(theta <= t | y, tau), a mixture of conditional normal CDFs."""
-    z, u, W = post.law.nodes
-    tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(tt)
-    out = np.empty(tt.shape, dtype=float)
-    mu = z * post.y
-    for start in range(0, tt.size, 1024):
-        block = tt[start : start + 1024, None]
-        out[start : start + 1024] = ndtr((block - mu) / u) @ W
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
-def _pdf(post: CoordinatePosterior, t):
-    z, u, W = post.law.nodes
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    mu = z * post.y
-    x = (tt[:, None] - mu) / u
-    vals = np.exp(-0.5 * x * x) / (u * math.sqrt(2.0 * math.pi)) @ W
-    return vals if np.asarray(t).ndim else float(vals[0])
-
-
-def quantile(post: CoordinatePosterior, p):
-    """Inverse of cdf by bracketed root finding."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {p}")
-    if post.y == 0.0 and p == 0.5:
-        return 0.0
-    center = post.mean
-    half = max(1.0, math.sqrt(post.variance))
-    lo, hi = center - half, center + half
-    for _ in range(200):
-        if cdf(post, lo) < p:
-            break
-        lo = center - 2.0 * (center - lo)
-    else:
-        raise ArithmeticError("quantile bracket expansion failed on the left")
-    for _ in range(200):
-        if cdf(post, hi) > p:
-            break
-        hi = center + 2.0 * (hi - center)
-    else:
-        raise ArithmeticError("quantile bracket expansion failed on the right")
-    return float(brentq(lambda t: cdf(post, t) - p, lo, hi, xtol=1e-13))
-
-
-def rand_draw(post: CoordinatePosterior, rng, size=None):
-    """Posterior draws: z by inverse CDF, then Normal(z*y, z)."""
-    n = 1 if size is None else int(size)
-    z = post.law.sample(n, rng)
-    theta = z * post.y + np.sqrt(z) * rng.standard_normal(n)
-    return float(theta[0]) if size is None else theta
-
-
-def interval_radius(post: CoordinatePosterior, alpha):
-    """Radius r with posterior mass 1 - alpha on [mean - r, mean + r]."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
-    target = 1.0 - alpha
-    c = post.mean
-
-    def gap(r):
-        return cdf(post, c + r) - cdf(post, c - r) - target
-
-    hi = abs(post.y) + 10.0
-    for _ in range(60):
-        if gap(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("interval radius bracket expansion failed")
-    r = float(brentq(gap, 0.0, hi, xtol=1e-13))
-    for _ in range(2):
-        slope = _pdf(post, c + r) + _pdf(post, c - r)
-        if slope <= 0.0:
-            break
-        r -= gap(r) / slope
-    return float(r)
-
-
-def marginal_interval(post: CoordinatePosterior, alpha, L=1.0):
-    """Credible interval centered at the posterior mean, half-width L * radius."""
-    L = float(L)
-    if L <= 0.0:
-        raise ValueError(f"blow-up factor must be positive, got {L}")
-    from .credible import CredibleInterval
-
-    return CredibleInterval(
-        center=post.mean,
-        half_width=L * interval_radius(post, alpha),
-        alpha=float(alpha),
-        blowup_L=L,
-    )
-
-
 class PosteriorBatch:
     """Vectorized posterior machinery for a whole observation vector.
 
     All coordinates share one global scale and one set of quadrature
-    nodes in u = sqrt(z); only the mixture weights differ per row. Used
-    for interval batches, credible balls, and simulation studies where
-    building one CoordinatePosterior per coordinate would be wasteful.
+    nodes in u = sqrt(z); only the mixture weights differ per row.
     """
 
     def __init__(self, Y, tau, splits=2):
-        self.Y = np.ascontiguousarray(np.asarray(Y, dtype=float).ravel())
-        if self.Y.size == 0:
-            raise ValueError("need at least one observation")
-        if not np.all(np.isfinite(self.Y)):
-            raise ValueError("observations must be finite")
+        self.Y = np.ascontiguousarray(_as_obs(Y, 1))
         self.tau = tau if isinstance(tau, GlobalScale) else GlobalScale(float(tau))
         t = self.tau.tau
-        edges = _panel_edges(t, float(np.max(np.abs(self.Y))) if self.Y.size else 1.0)
+        edges = _panel_edges(t, float(np.max(np.abs(self.Y))))
         for _ in range(splits):
             edges = _split_edges(edges)
         self._edges = edges
@@ -339,45 +94,77 @@ class PosteriorBatch:
         tt = np.ascontiguousarray(np.broadcast_to(np.asarray(t, dtype=float), (self.n,)))
         return self._cdf_sub(np.arange(self.n), tt)
 
-    def radius_batch(self, alpha):
-        """interval_radius for every row at once, safeguarded Newton.
+    def _bracket(self, gap, anchor, edge, sign):
+        """Double each edge's distance from its anchor until sign * gap > 0."""
+        idx = np.arange(self.n)
+        for _ in range(60):
+            bad = sign * gap(idx, edge[idx]) <= 0.0
+            if not np.any(bad):
+                return edge
+            idx = idx[bad]
+            edge[idx] = anchor[idx] + 2.0 * (edge[idx] - anchor[idx])
+        raise ArithmeticError("bracket expansion failed: target beyond the quadrature CDF's reach")
 
-        Converged rows drop out of the working set so the per-iteration
-        cost shrinks as the easy coordinates finish.
+    def _newton(self, gap, slope, x, lo, hi):
+        """Root of one increasing equation per row, safeguarded Newton.
+
+        gap(idx, x) and slope(idx, x) give the residual and its derivative
+        for rows idx; gap < 0 at lo and > 0 at hi. A step that leaves the
+        bracket is replaced by bisection. Converged rows drop out of the
+        working set so the per-iteration cost shrinks as the easy
+        coordinates finish.
         """
+        idx = np.arange(self.n)
+        for _ in range(80):
+            g = gap(idx, x[idx])
+            done = np.abs(g) < 1e-9
+            lo[idx] = np.where(g < 0.0, np.maximum(lo[idx], x[idx]), lo[idx])
+            hi[idx] = np.where(g > 0.0, np.minimum(hi[idx], x[idx]), hi[idx])
+            idx = idx[~done]
+            if idx.size == 0:
+                break
+            g = g[~done]
+            s = slope(idx, x[idx])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = x[idx] - np.where(s > 0.0, g / s, 0.0)
+            outside = (x_new <= lo[idx]) | (x_new >= hi[idx]) | ~np.isfinite(x_new)
+            x[idx] = np.where(outside, 0.5 * (lo[idx] + hi[idx]), x_new)
+        return x
+
+    def radius_batch(self, alpha):
+        """Per-row radius r with posterior mass 1 - alpha on [mean - r, mean + r]."""
         alpha = float(alpha)
         if not 0.0 < alpha <= 0.5:
             raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
         target = 1.0 - alpha
         c = self.means
+
+        def gap(idx, r):
+            return self._cdf_sub(idx, c[idx] + r) - self._cdf_sub(idx, c[idx] - r) - target
+
+        def slope(idx, r):
+            return self._pdf_sub(idx, c[idx] + r) + self._pdf_sub(idx, c[idx] - r)
+
         lo = np.zeros(self.n)
-        hi = np.abs(self.Y) + 10.0
-        idx = np.arange(self.n)
-        for _ in range(60):
-            g_hi = self._cdf_sub(idx, c[idx] + hi[idx]) - self._cdf_sub(idx, c[idx] - hi[idx])
-            bad = g_hi - target <= 0.0
-            if not np.any(bad):
-                break
-            hi[idx[bad]] *= 2.0
-            idx = idx[bad]
-        # normal-approximation start, then Newton clipped into the bracket
+        hi = self._bracket(gap, lo, np.abs(self.Y) + 10.0, 1.0)
+        # normal-approximation start
         r = np.clip(ndtri(1.0 - alpha / 2.0) * np.sqrt(self.variances), 1e-6, hi)
-        idx = np.arange(self.n)
-        for _ in range(80):
-            g = self._cdf_sub(idx, c[idx] + r[idx]) - self._cdf_sub(idx, c[idx] - r[idx]) - target
-            done = np.abs(g) < 1e-9
-            lo[idx] = np.where(g < 0.0, np.maximum(lo[idx], r[idx]), lo[idx])
-            hi[idx] = np.where(g > 0.0, np.minimum(hi[idx], r[idx]), hi[idx])
-            idx = idx[~done]
-            if idx.size == 0:
-                break
-            g = g[~done]
-            slope = self._pdf_sub(idx, c[idx] + r[idx]) + self._pdf_sub(idx, c[idx] - r[idx])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r_new = r[idx] - np.where(slope > 0.0, g / slope, 0.0)
-            outside = (r_new <= lo[idx]) | (r_new >= hi[idx]) | ~np.isfinite(r_new)
-            r[idx] = np.where(outside, 0.5 * (lo[idx] + hi[idx]), r_new)
-        return r
+        return self._newton(gap, slope, r, lo, hi)
+
+    def quantile_rows(self, p):
+        """Per-row p-quantile of the posterior, started at the posterior mean."""
+        p = float(p)
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"quantile level must be in (0, 1), got {p}")
+        c = self.means
+
+        def gap(idx, q):
+            return self._cdf_sub(idx, q) - p
+
+        half = np.maximum(1.0, np.sqrt(self.variances))
+        lo = self._bracket(gap, c, c - half, -1.0)
+        hi = self._bracket(gap, c, c + half, 1.0)
+        return self._newton(gap, self._pdf_sub, c.copy(), lo, hi)
 
     @cached_property
     def _cells(self):
@@ -413,11 +200,6 @@ class PosteriorBatch:
             scale = np.where(m > 0.0, trap / m, 1.0)
         return self._edges[cell] + _linear_density_invert(a, b, w, np.clip(rho * scale, 0.0, trap))
 
-    def _invert_rows(self, v):
-        """Per-row u-quantiles at probabilities v, shaped (k, n)."""
-        rows = np.broadcast_to(np.arange(self.n, dtype=np.int64), v.shape)
-        return self._invert_flat(v.ravel(), rows.ravel()).reshape(v.shape)
-
     _TABLE_LEVELS = 512
 
     @cached_property
@@ -429,47 +211,40 @@ class PosteriorBatch:
         T = np.empty((self.n, q + 1))
         T[:, 0] = 0.0
         T[:, -1] = 1.0
-        T[:, 1:-1] = self._invert_rows(np.repeat(levels[:, None], self.n, axis=1)).T
+        rows = np.tile(np.arange(self.n, dtype=np.int64), q - 1)
+        T[:, 1:-1] = self._invert_flat(np.repeat(levels, self.n), rows).reshape(q - 1, self.n).T
         return T
 
     def draw_weights(self, draws, rng):
         """(draws, n) matrix of shrinkage weights z, one row per joint draw.
 
-        Small workloads invert the cell CDF exactly per draw; large ones
-        go through the per-row quantile table with linear interpolation,
-        which is what makes million-draw credible-ball runs affordable.
+        Draws go through the per-row quantile table with linear
+        interpolation, which is what makes million-draw credible-ball runs
+        affordable; the outermost table segments are inverted exactly.
         """
         draws = int(draws)
-        use_table = draws >= 1024 and draws * self.n >= 2_000_000
         out = np.empty((draws, self.n))
         chunk = max(1, int(5_000_000 // self.n))
-        if use_table:
-            q = self._TABLE_LEVELS
-            T = self._quantile_table.ravel()
-            row_base = np.arange(self.n, dtype=np.int64) * (q + 1)
-            for start in range(0, draws, chunk):
-                stop = min(draws, start + chunk)
-                v = rng.random((stop - start, self.n))
-                pos = v * q
-                j = pos.astype(np.int64)
-                frac = pos - j
-                g = row_base[None, :] + j
-                u = T[g] * (1.0 - frac) + T[g + 1] * frac
-                # the outermost segments cover the distribution tails where
-                # linear interpolation is poor; invert those draws exactly
-                tail = (j == 0) | (j == q - 1)
-                if np.any(tail):
-                    rows = np.broadcast_to(np.arange(self.n, dtype=np.int64), v.shape)
-                    u[tail] = self._invert_flat(
-                        np.clip(v[tail], 2e-17, 1.0 - 1e-16), rows[tail]
-                    )
-                out[start:stop] = u * u
-        else:
-            for start in range(0, draws, chunk):
-                stop = min(draws, start + chunk)
-                v = np.clip(rng.random((stop - start, self.n)), 2e-17, 1.0 - 1e-16)
-                u = self._invert_rows(v)
-                out[start:stop] = u * u
+        q = self._TABLE_LEVELS
+        T = self._quantile_table.ravel()
+        row_base = np.arange(self.n, dtype=np.int64) * (q + 1)
+        for start in range(0, draws, chunk):
+            stop = min(draws, start + chunk)
+            v = rng.random((stop - start, self.n))
+            pos = v * q
+            j = pos.astype(np.int64)
+            frac = pos - j
+            g = row_base[None, :] + j
+            u = T[g] * (1.0 - frac) + T[g + 1] * frac
+            # the outermost segments cover the distribution tails where
+            # linear interpolation is poor; invert those draws exactly
+            tail = (j == 0) | (j == q - 1)
+            if np.any(tail):
+                rows = np.broadcast_to(np.arange(self.n, dtype=np.int64), v.shape)
+                u[tail] = self._invert_flat(
+                    np.clip(v[tail], 2e-17, 1.0 - 1e-16), rows[tail]
+                )
+            out[start:stop] = u * u
         return out
 
     def draw_matrix(self, draws, rng):

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import GlobalScale, log_marginal_lik, score_m
+from .kernels import GlobalScale, _as_obs, log_marginal_lik, score_m
 
 __all__ = ["TauMethod", "TauEstimate", "mmle", "simple_estimator", "score_sum", "fixed_tau"]
 
@@ -38,20 +38,9 @@ class TauEstimate:
         return self.value.tau
 
 
-def _as_obs(Y):
-    arr = np.asarray(Y, dtype=float).ravel()
-    if arr.size < 2:
-        raise ValueError(f"need at least two observations, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("observations must be finite")
-    return arr
-
-
 def score_sum(Y, tau):
     """Derivative of the log marginal likelihood in tau: (1/tau) * sum of scores."""
-    arr = np.asarray(Y, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("need at least one observation")
+    arr = _as_obs(Y, 1)
     t = tau.tau if isinstance(tau, GlobalScale) else float(tau)
     return float(np.sum(score_m(arr, t))) / t
 
@@ -63,7 +52,7 @@ def mmle(Y) -> TauEstimate:
     on a log-spaced grid is refined and compared, together with both
     endpoints, on the actual log likelihood.
     """
-    arr = _as_obs(Y)
+    arr = _as_obs(Y, 2)
     n = arr.size
     lo = 1.0 / n
     grid = np.geomspace(lo, 1.0, GRID_POINTS)
@@ -103,7 +92,7 @@ def mmle(Y) -> TauEstimate:
 def simple_estimator(Y, c1=2.0, c2=1.0) -> TauEstimate:
     """Counting estimator: exceedances of sqrt(c2 * 2 log n), floored at
     one, divided by c1 * n, clamped to [1/n, 1]."""
-    arr = _as_obs(Y)
+    arr = _as_obs(Y, 2)
     if not c1 >= 1.0:
         raise ValueError(f"need c1 >= 1, got {c1}")
     if not c2 > 0.0:

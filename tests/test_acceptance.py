@@ -23,7 +23,7 @@ from hsuq.experiments import (
 )
 from hsuq.hierarchical import HyperPrior, mcse_mean, mcse_quantile, run_chain
 from hsuq.kernels import GlobalScale, posterior_mean
-from hsuq.posterior import CoordinatePosterior, quantile
+from hsuq.posterior import PosteriorBatch
 from hsuq.selection import select_by_interval, select_by_threshold
 from hsuq.tau import mmle
 
@@ -242,15 +242,15 @@ def test_criterion_10_sampler_matches_quadrature():
 
     chain = run_chain(Y, HyperPrior.point_mass(0.1), iters=12_000,
                       burn_in=2_000, seed=1)
-    scale = GlobalScale(0.1)
+    batch = PosteriorBatch(Y, GlobalScale(0.1))
+    exact = {p: batch.quantile_rows(p) for p in (0.025, 0.975)}
     worst_mean = worst_end = 0.0
     for i in range(50):
         x = chain.thetas[:, i]
-        post = CoordinatePosterior(float(Y[i]), scale)
         worst_mean = max(worst_mean,
                          abs(x.mean() - posterior_mean(Y[i], 0.1)) / mcse_mean(x))
         for p in (0.025, 0.975):
-            z = abs(np.quantile(x, p) - quantile(post, p)) / mcse_quantile(x, p)
+            z = abs(np.quantile(x, p) - exact[p][i]) / mcse_quantile(x, p)
             worst_end = max(worst_end, z)
     elapsed = time.perf_counter() - start
     ok = worst_mean <= 3.0 and worst_end <= 3.0 and elapsed < 60.0

@@ -22,7 +22,7 @@ from hsuq.credible import (
     self_similar_check,
 )
 from hsuq.kernels import GlobalScale, SparsityRate, zeta
-from hsuq.posterior import CoordinatePosterior, PosteriorBatch, interval_radius
+from hsuq.posterior import PosteriorBatch
 
 
 class TestCredibleInterval:
@@ -137,8 +137,7 @@ class TestBallRadius:
     def test_single_coordinate_matches_interval_radius(self):
         # With one coordinate the ball is an interval around the same
         # center, so the Monte Carlo radius must agree with the exact one.
-        post = CoordinatePosterior(2.5, GlobalScale(0.05))
-        exact = interval_radius(post, 0.05)
+        exact = PosteriorBatch([2.5], GlobalScale(0.05)).radius_batch(0.05)[0]
         r, se = ball_radius(
             np.array([2.5]), GlobalScale(0.05), alpha=0.05,
             draws=200_000, rng=np.random.default_rng(3),

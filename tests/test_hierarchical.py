@@ -22,7 +22,7 @@ from hsuq.hierarchical import (
     verify_hyperprior,
 )
 from hsuq.kernels import GlobalScale, SparsityRate, posterior_mean, zeta
-from hsuq.posterior import CoordinatePosterior, quantile
+from hsuq.posterior import PosteriorBatch
 from scipy.integrate import quad
 
 
@@ -233,12 +233,13 @@ class TestMarginalIntervals:
         tau = GlobalScale(0.1)
         chain = run_chain(Y, HyperPrior.point_mass(0.1), iters=12000, burn_in=2000, seed=5)
         ivs = hb_marginal_intervals(chain, alpha=0.05)
+        batch = PosteriorBatch(Y, tau)
+        exact = {p: batch.quantile_rows(p) for p in (0.025, 0.975)}
         for i, iv in enumerate(ivs):
-            post = CoordinatePosterior(Y[i], tau)
             for sign, p in ((-1, 0.025), (1, 0.975)):
                 endpoint = iv.center + sign * iv.half_width
                 se = mcse_quantile(chain.thetas[:, i], p)
-                assert abs(endpoint - quantile(post, p)) <= 3.0 * se
+                assert abs(endpoint - exact[p][i]) <= 3.0 * se
 
     def test_rejects_short_chains_and_bad_arguments(self):
         thetas = np.zeros((50, 2))

@@ -8,17 +8,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import ndtri
 
+from hsuq.credible import interval_batch
 from hsuq.kernels import posterior_mean, posterior_variance
-from hsuq.posterior import (
-    CoordinatePosterior,
-    PosteriorBatch,
-    ShrinkWeightLaw,
-    cdf,
-    interval_radius,
-    marginal_interval,
-    quantile,
-    rand_draw,
-)
+from hsuq.posterior import PosteriorBatch
 
 from _oracles import marginal_cdf_quad
 
@@ -34,108 +26,130 @@ REGIME_GRID = [
 ]
 
 
+def one(y, tau):
+    """The posterior of a single coordinate: a one-row batch."""
+    return PosteriorBatch([y], tau)
+
+
+def cdf1(post, t):
+    return float(post.cdf_rows(t)[0])
+
+
+def draws1(post, size, rng):
+    return post.draw_matrix(size, rng)[:, 0]
+
+
 class TestShrinkWeightLaw:
     def test_normalizes(self):
+        # the discretized weight law of a one-row batch reproduces the
+        # kernel moments; Var(z) is taken from w = 1 - z to avoid cancellation
         for y, tau in REGIME_GRID + [(0.0, 1.0), (30.0, 0.01)]:
-            law = ShrinkWeightLaw(y, tau)
-            assert abs(law.normalization_defect) < 1e-8
-
-    def test_pdf_integrates_to_one(self):
-        for y, tau in [(1.5, 0.1), (4.0, 0.3)]:
-            law = ShrinkWeightLaw(y, tau)
-            total = quad(law.pdf, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=400)[0]
-            assert_allclose(total, 1.0, atol=1e-7)
+            post = one(y, tau)
+            W = post._W[0]
+            z = post._u ** 2
+            ez = float(W @ z)
+            m1 = float(W @ (1.0 - z))
+            m2 = float(W @ (1.0 - z) ** 2)
+            assert_allclose(y * ez, posterior_mean(y, tau), rtol=1e-10)
+            assert_allclose(y * y * (m2 - m1 * m1) + ez, posterior_variance(y, tau), rtol=1e-10)
 
     def test_sample_mean_matches_nodes(self):
-        law = ShrinkWeightLaw(2.0, 0.1)
-        z, _, W = law.nodes
-        expect = float(np.sum(W * z))
-        draws = law.sample(400_000, np.random.default_rng(11))
+        post = one(2.0, 0.1)
+        expect = float(post._W[0] @ post._u ** 2)
+        draws = post.draw_weights(400_000, np.random.default_rng(11))[:, 0]
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expect) < 4 * se
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            ShrinkWeightLaw(math.inf, 0.1)
+            one(math.inf, 0.1)
 
 
 class TestCdf:
     def test_symmetry_at_origin(self):
-        assert_allclose(cdf(CoordinatePosterior(0.0, 0.1), 0.0), 0.5, atol=1e-12)
+        assert_allclose(cdf1(one(0.0, 0.1), 0.0), 0.5, atol=1e-12)
 
     def test_monotone(self):
         rng = np.random.default_rng(2)
-        post = CoordinatePosterior(1.7, 0.2)
+        post = one(1.7, 0.2)
         for _ in range(50):
             a, b = np.sort(rng.uniform(-6, 6, size=2))
-            assert cdf(post, a) <= cdf(post, b) + 1e-15
+            assert cdf1(post, a) <= cdf1(post, b) + 1e-15
 
     def test_limits(self):
-        post = CoordinatePosterior(3.0, 0.1)
-        assert cdf(post, -40.0) < 1e-12
-        assert cdf(post, 43.0) > 1.0 - 1e-12
+        post = one(3.0, 0.1)
+        assert cdf1(post, -40.0) < 1e-12
+        assert cdf1(post, 43.0) > 1.0 - 1e-12
 
     def test_against_quadrature_oracle(self):
         for y, tau in [(0.0, 0.1), (3.0, 0.1), (-2.5, 0.5)]:
-            post = CoordinatePosterior(y, tau)
+            post = one(y, tau)
             for t in [-1.0, 0.3, y + 0.7]:
-                assert_allclose(cdf(post, t), marginal_cdf_quad(t, y, tau), atol=1e-6)
+                assert_allclose(cdf1(post, t), marginal_cdf_quad(t, y, tau), atol=1e-6)
 
     def test_vectorized(self):
-        post = CoordinatePosterior(1.0, 0.3)
+        # one evaluation point per row of a batch of identical rows
+        batch = PosteriorBatch(np.full(7, 1.0), 0.3)
         t = np.linspace(-3, 3, 7)
-        vals = cdf(post, t)
+        vals = batch.cdf_rows(t)
         assert vals.shape == (7,)
-        assert_allclose(vals[3], cdf(post, 0.0), rtol=1e-14)
+        assert_allclose(vals[3], cdf1(one(1.0, 0.3), 0.0), rtol=1e-14)
 
 
 class TestQuantile:
     def test_median_at_origin(self):
-        assert quantile(CoordinatePosterior(0.0, 0.2), 0.5) == 0.0
+        assert one(0.0, 0.2).quantile_rows(0.5)[0] == 0.0
 
     def test_roundtrip(self):
         for y, tau in REGIME_GRID:
-            post = CoordinatePosterior(y, tau)
+            post = one(y, tau)
             for p in [0.025, 0.5, 0.975]:
-                t = quantile(post, p)
-                assert abs(cdf(post, t) - p) < 1e-8
+                t = post.quantile_rows(p)[0]
+                assert abs(cdf1(post, t) - p) < 1e-8
+
+    def test_multi_row_roundtrip(self):
+        # each tau of the regime grid as one batch, one call per level
+        for tau in sorted({t for _, t in REGIME_GRID}):
+            batch = PosteriorBatch([y for y, t in REGIME_GRID if t == tau], tau)
+            for p in [0.025, 0.5, 0.975]:
+                q = batch.quantile_rows(p)
+                assert np.all(np.abs(batch.cdf_rows(q) - p) < 1e-8)
 
     def test_against_mc_quantile(self):
-        post = CoordinatePosterior(4.0, 0.05)
+        post = one(4.0, 0.05)
         p = 0.975
-        q = quantile(post, p)
-        draws = rand_draw(post, np.random.default_rng(17), size=2_000_000)
+        q = post.quantile_rows(p)[0]
+        draws = draws1(post, 2_000_000, np.random.default_rng(17))
         mc = float(np.quantile(draws, p))
         # order-statistic standard error via the density at the quantile
-        dens = (cdf(post, q + 1e-4) - cdf(post, q - 1e-4)) / 2e-4
+        dens = (cdf1(post, q + 1e-4) - cdf1(post, q - 1e-4)) / 2e-4
         se = math.sqrt(p * (1 - p) / draws.size) / dens
         assert abs(mc - q) < 4 * se
 
     def test_rejects_bad_levels(self):
-        post = CoordinatePosterior(1.0, 0.2)
+        post = one(1.0, 0.2)
         for p in [0.0, 1.0, -0.1, 1.7]:
             with pytest.raises(ValueError):
-                quantile(post, p)
+                post.quantile_rows(p)
 
 
 class TestRandDraw:
     def test_deterministic_given_seed(self):
-        post = CoordinatePosterior(1.2, 0.15)
-        a = rand_draw(post, np.random.default_rng(5), size=100)
-        b = rand_draw(post, np.random.default_rng(5), size=100)
+        post = one(1.2, 0.15)
+        a = draws1(post, 100, np.random.default_rng(5))
+        b = draws1(post, 100, np.random.default_rng(5))
         assert np.array_equal(a, b)
-        single = rand_draw(post, np.random.default_rng(5))
-        assert single == rand_draw(post, np.random.default_rng(5))
-        assert isinstance(single, float)
+        single = post.draw_matrix(1, np.random.default_rng(5))
+        assert single.shape == (1, 1)
+        assert np.array_equal(single, post.draw_matrix(1, np.random.default_rng(5)))
 
     def test_symmetric_at_origin(self):
-        th = rand_draw(CoordinatePosterior(0.0, 0.1), np.random.default_rng(23), size=1_000_000)
+        th = draws1(one(0.0, 0.1), 1_000_000, np.random.default_rng(23))
         skew = np.mean(th**3) / np.mean(th**2) ** 1.5
         assert abs(skew) < 4 * math.sqrt(6.0 / th.size) * 3  # skewness SE inflated for heavy tails
 
     def test_moments_match_kernels(self):
-        post = CoordinatePosterior(2.0, 0.1)
-        th = rand_draw(post, np.random.default_rng(42), size=1_000_000)
+        th = draws1(one(2.0, 0.1), 1_000_000, np.random.default_rng(42))
         se_mean = th.std() / math.sqrt(th.size)
         assert abs(th.mean() - posterior_mean(2.0, 0.1)) < 4 * se_mean
         v = th.var()
@@ -147,53 +161,58 @@ class TestRandDraw:
 class TestIntervalRadius:
     def test_mass_residual_across_regimes(self):
         for y, tau in REGIME_GRID:
-            post = CoordinatePosterior(y, tau)
-            r = interval_radius(post, 0.05)
-            c = post.mean
-            assert abs(cdf(post, c + r) - cdf(post, c - r) - 0.95) < 1e-8
+            post = one(y, tau)
+            r = post.radius_batch(0.05)[0]
+            c = post.means[0]
+            assert abs(cdf1(post, c + r) - cdf1(post, c - r) - 0.95) < 1e-8
 
     def test_monotone_in_alpha(self):
-        post = CoordinatePosterior(1.5, 0.1)
-        radii = [interval_radius(post, a) for a in [0.01, 0.05, 0.2]]
+        post = one(1.5, 0.1)
+        radii = [post.radius_batch(a)[0] for a in [0.01, 0.05, 0.2]]
         assert radii[0] > radii[1] > radii[2]
 
     def test_symmetric_case(self):
-        post = CoordinatePosterior(0.0, 0.1)
-        r = interval_radius(post, 0.05)
-        assert_allclose(cdf(post, r) - cdf(post, -r), 0.95, atol=1e-8)
+        post = one(0.0, 0.1)
+        r = post.radius_batch(0.05)[0]
+        assert_allclose(cdf1(post, r) - cdf1(post, -r), 0.95, atol=1e-8)
 
     def test_small_tau_lower_bound(self):
         # the radius cannot fall below half a z-quantile of the scale
         tau = 1e-4
-        r = interval_radius(CoordinatePosterior(0.0, tau), 0.05)
+        r = one(0.0, tau).radius_batch(0.05)[0]
         assert r >= 0.9 * ndtri(0.95) * tau / 2.0
 
     def test_rejects_bad_alpha(self):
-        post = CoordinatePosterior(1.0, 0.2)
+        post = one(1.0, 0.2)
         for a in [0.0, 0.6, 1.0]:
             with pytest.raises(ValueError):
-                interval_radius(post, a)
+                post.radius_batch(a)
+
+    def test_unreachable_mass_raises(self):
+        # 1 - 1e-17 rounds to 1, a mass no finite radius reaches
+        with pytest.raises(ArithmeticError):
+            one(1.0, 0.2).radius_batch(1e-17)
 
 
 class TestMarginalInterval:
+    # the marginal interval of one coordinate is a one-coordinate batch
     def test_symmetric_at_origin(self):
-        iv = marginal_interval(CoordinatePosterior(0.0, 0.1), 0.05, L=1.0)
+        (iv,) = interval_batch([0.0], 0.1, 0.05, L=1.0)
         assert iv.center == 0.0
         assert iv.contains(0.0)
         assert iv.contains(iv.half_width)
         assert not iv.contains(iv.half_width * 1.0001)
 
     def test_blowup_scales_half_width(self):
-        post = CoordinatePosterior(2.0, 0.1)
-        iv1 = marginal_interval(post, 0.05, L=1.0)
-        iv2 = marginal_interval(post, 0.05, L=2.0)
+        (iv1,) = interval_batch([2.0], 0.1, 0.05, L=1.0)
+        (iv2,) = interval_batch([2.0], 0.1, 0.05, L=2.0)
         assert_allclose(iv2.half_width, 2.0 * iv1.half_width, rtol=1e-13)
         assert iv2.blowup_L == 2.0
         assert iv1.alpha == 0.05
 
     def test_rejects_nonpositive_blowup(self):
         with pytest.raises(ValueError):
-            marginal_interval(CoordinatePosterior(1.0, 0.2), 0.05, L=0.0)
+            interval_batch([1.0], 0.2, 0.05, L=0.0)
 
 
 class TestPosteriorBatch:
@@ -212,36 +231,43 @@ class TestPosteriorBatch:
         mix = (self.batch._W * z[None, :]).sum(axis=1) * self.Y
         assert np.max(np.abs(mix - self.batch.means)) < 1e-6
 
+    # the "scalar" reference of the two tests below is a one-row batch
+    # per coordinate, so they check that rows do not depend on the layout
     def test_cdf_rows_match_scalar(self):
         t = self.batch.means + 0.7
         got = self.batch.cdf_rows(t)
-        want = [cdf(CoordinatePosterior(v, 0.11), ti) for v, ti in zip(self.Y, t)]
+        want = [cdf1(one(v, 0.11), ti) for v, ti in zip(self.Y, t)]
         assert_allclose(got, want, atol=1e-12)
 
     def test_radius_batch_matches_scalar(self):
         r = self.batch.radius_batch(0.05)
-        want = [interval_radius(CoordinatePosterior(v, 0.11), 0.05) for v in self.Y]
+        want = [one(v, 0.11).radius_batch(0.05)[0] for v in self.Y]
         assert_allclose(r, want, atol=1e-7)
+
+    def test_quantile_rows_match_scalar(self):
+        for p in [0.025, 0.975]:
+            want = [one(v, 0.11).quantile_rows(p)[0] for v in self.Y]
+            assert_allclose(self.batch.quantile_rows(p), want, atol=1e-7)
 
     def test_draws_deterministic(self):
         a = self.batch.draw_matrix(64, np.random.default_rng(9))
         b = self.batch.draw_matrix(64, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
-    def test_exact_path_moments(self):
-        # small workload stays on the exact per-draw inversion
+    def test_draw_moments(self):
         M = self.batch.draw_matrix(20_000, np.random.default_rng(31))
         se = M.std(axis=0) / math.sqrt(M.shape[0])
         assert np.all(np.abs(M.mean(axis=0) - self.batch.means) < 4.5 * se)
 
     def test_table_path_matches_cdf(self):
-        # large workload switches to the quantile table; its draws must
-        # still be statistically indistinguishable from the exact CDF
+        # draws through the interpolated quantile table must be
+        # statistically indistinguishable from the exact CDF
         M = self.batch.draw_matrix(1_000_000, np.random.default_rng(9))
         for i in [0, 4, 8, 9]:
-            post = CoordinatePosterior(self.Y[i], 0.11)
-            for t in [post.mean - 1.0, post.mean, post.mean + 1.0]:
-                F = cdf(post, t)
+            post = one(self.Y[i], 0.11)
+            m = post.means[0]
+            for t in [m - 1.0, m, m + 1.0]:
+                F = cdf1(post, t)
                 se = max(math.sqrt(F * (1 - F) / M.shape[0]), 1e-9)
                 assert abs(np.mean(M[:, i] <= t) - F) < 5 * se
 
@@ -256,9 +282,9 @@ class TestCdfImpliedMean:
     def test_integrated_mean_matches_kernels(self):
         # E[theta] = int_0^inf (1 - F) - int_{-inf}^0 F, everything from cdf
         for y, tau in [(1.5, 0.1), (0.0, 0.5), (4.0, 0.05)]:
-            post = CoordinatePosterior(y, tau)
-            upper = quad(lambda t: 1.0 - cdf(post, t), 0.0, np.inf,
+            post = one(y, tau)
+            upper = quad(lambda t: 1.0 - cdf1(post, t), 0.0, np.inf,
                          epsabs=1e-10, epsrel=1e-9, limit=400)[0]
-            lower = quad(lambda t: cdf(post, t), -np.inf, 0.0,
+            lower = quad(lambda t: cdf1(post, t), -np.inf, 0.0,
                          epsabs=1e-10, epsrel=1e-9, limit=400)[0]
             assert_allclose(upper - lower, posterior_mean(y, tau), atol=1e-6)
