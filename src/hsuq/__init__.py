@@ -7,11 +7,11 @@ hierarchical Gibbs sampler, model selection, and a simulation CLI.
 
 from .credible import (
     CredibleBall,
-    CredibleInterval,
     RegionLabel,
     ball_radius,
     classify_regions,
     classify_regions_adaptive,
+    covers,
     credible_ball,
     excessive_bias_diagnostic,
     interval_batch,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Chain",
     "CredibleBall",
-    "CredibleInterval",
     "GlobalScale",
     "HyperPrior",
     "KernelOrder",
@@ -69,6 +68,7 @@ __all__ = [
     "classify_regions",
     "classify_regions_adaptive",
     "cli_main",
+    "covers",
     "credible_ball",
     "discovery_report",
     "excessive_bias_diagnostic",

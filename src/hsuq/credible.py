@@ -17,9 +17,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .kernels import (
-    GlobalScale,
     SparsityRate,
     _as_obs,
+    _tau_value,
     posterior_fourth_central,
     posterior_mean,
     posterior_variance,
@@ -28,11 +28,11 @@ from .kernels import (
 from .posterior import PosteriorBatch
 
 __all__ = [
-    "CredibleInterval",
     "CredibleBall",
     "RegionLabel",
     "ExcessiveBiasReport",
     "interval_batch",
+    "covers",
     "ball_radius",
     "ball_radius_approx",
     "credible_ball",
@@ -42,30 +42,6 @@ __all__ = [
     "excessive_bias_diagnostic",
     "region_blowups",
 ]
-
-
-@dataclass(frozen=True)
-class CredibleInterval:
-    """Symmetric credible interval |x - center| <= half_width."""
-
-    center: float
-    half_width: float
-    alpha: float
-    blowup_L: float = 1.0
-
-    def __post_init__(self):
-        if self.half_width < 0.0:
-            raise ValueError("half_width must be nonnegative")
-        if self.blowup_L <= 0.0:
-            raise ValueError("blowup_L must be positive")
-
-    def contains(self, x) -> bool:
-        return bool(abs(x - self.center) <= self.half_width)
-
-    @property
-    def base_radius(self) -> float:
-        """Half-width before the blow-up factor was applied."""
-        return self.half_width / self.blowup_L
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +83,22 @@ class ExcessiveBiasReport:
 
 
 def interval_batch(Y, tau, alpha, L=1.0):
-    """One marginal credible interval per coordinate, shared tau."""
+    """One marginal credible interval per coordinate, shared tau: a
+    record array with the float fields center and half_width."""
     if L <= 0.0:
         raise ValueError(f"blow-up factor must be positive, got {L}")
     batch = PosteriorBatch(Y, tau)
-    radii = batch.radius_batch(alpha)
-    return [
-        CredibleInterval(center=float(c), half_width=float(L * r), alpha=float(alpha), blowup_L=float(L))
-        for c, r in zip(batch.means, radii)
-    ]
+    return _intervals(batch.means, L * batch.radius_batch(alpha))
+
+
+def _intervals(center, half_width):
+    """The record array of symmetric intervals |x - center| <= half_width."""
+    return np.rec.fromarrays([center, half_width], names="center,half_width")
+
+
+def covers(intervals, theta):
+    """Bool array: True where theta lies in the closed interval of its row."""
+    return np.abs(np.asarray(theta, dtype=float) - intervals.center) <= intervals.half_width
 
 
 def ball_radius(Y, tau, alpha, draws, rng):
@@ -146,7 +129,7 @@ def ball_radius_approx(Y, tau, alpha):
     a cheap cross-check, not a replacement for the Monte Carlo radius.
     """
     Y = _as_obs(Y, 1)
-    t = tau.tau if isinstance(tau, GlobalScale) else float(tau)
+    t = _tau_value(tau)
     v = posterior_variance(Y, t)
     mu4 = posterior_fourth_central(Y, t)
     total = float(np.sum(v))
@@ -190,7 +173,7 @@ def _region_split(theta0, small_hi, med_lo, med_hi, large_lo):
 
 def classify_regions(theta0, tau, kS=1.0, kM=0.9, kL=1.1, f=2.0):
     """Label coordinates as small/medium/large relative to the scale tau."""
-    t = tau.tau if isinstance(tau, GlobalScale) else float(tau)
+    t = _tau_value(tau)
     if kS <= 0.0 or f <= 0.0:
         raise ValueError("kS and f must be positive")
     if not kM < 1.0:

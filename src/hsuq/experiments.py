@@ -27,10 +27,11 @@ from scipy.special import ndtri
 
 from .credible import (
     CredibleBall,
-    CredibleInterval,
     RegionLabel,
+    _intervals,
     ball_radius,
     classify_regions_adaptive,
+    covers,
     credible_ball,
     interval_batch,
     region_blowups,
@@ -223,7 +224,7 @@ def generate(config, rep_index):
 @dataclass(frozen=True)
 class MethodResult:
     method: str
-    intervals: list
+    intervals: np.recarray
     tau: object
     ball: CredibleBall | None = None
 
@@ -237,6 +238,8 @@ def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
     posterior mean and variance but uses a Gaussian quantile; HB methods
     summarize a Gibbs chain.
     """
+    if L <= 0.0:
+        raise ValueError(f"blow-up factor must be positive, got {L}")
     Y = np.asarray(Y, dtype=float)
     if method in HB_METHODS:
         chain = run_chain(Y, HB_METHODS[method](), iters=hb_iters + hb_burn_in,
@@ -246,28 +249,20 @@ def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
         scale = UnboundedScale(tau_bar) if method == "hb-cauchy" else GlobalScale(tau_bar)
         ball = hb_ball(chain, alpha, L=L) if want_ball else None
         return MethodResult(method=method, intervals=intervals, tau=scale, ball=ball)
-    if method == "eb-mmle":
+    if method in ("eb-mmle", "normal-approx"):
         tau = mmle(Y).value
     elif method == "eb-simple":
         tau = simple_estimator(Y).value
-    elif method == "normal-approx":
-        tau = mmle(Y).value
-        z = 1.96 if alpha == 0.05 else float(ndtri(1.0 - alpha / 2.0))
-        centers = posterior_mean(Y, tau.tau)
-        halves = L * z * np.sqrt(posterior_variance(Y, tau.tau))
-        intervals = [CredibleInterval(center=float(c), half_width=float(h),
-                                      alpha=alpha, blowup_L=L)
-                     for c, h in zip(centers, halves)]
-        ball = None
-        if want_ball:
-            rng = np.random.default_rng([seed, 104729])
-            ball = credible_ball(Y, tau, alpha, L, ball_draws, rng)
-        return MethodResult(method=method, intervals=intervals, tau=tau, ball=ball)
     elif method.startswith("fixed:"):
         tau = GlobalScale(float(method.split(":", 1)[1]))
     else:
         raise ValueError(f"unknown method {method!r}")
-    intervals = interval_batch(Y, tau, alpha, L=L)
+    if method == "normal-approx":
+        z = 1.96 if alpha == 0.05 else float(ndtri(1.0 - alpha / 2.0))
+        intervals = _intervals(posterior_mean(Y, tau.tau),
+                               L * z * np.sqrt(posterior_variance(Y, tau.tau)))
+    else:
+        intervals = interval_batch(Y, tau, alpha, L=L)
     ball = None
     if want_ball:
         rng = np.random.default_rng([seed, 104729])
@@ -297,18 +292,23 @@ class RepReport:
     ball_covers: bool | None = None
 
 
-def _score_intervals(method, intervals, theta0, regions, tau_value, runtime_s,
-                     ball=None):
-    theta0 = np.asarray(theta0, dtype=float)
-    covered = np.array([iv.contains(t) for iv, t in zip(intervals, theta0)])
-    lengths = np.array([2.0 * iv.half_width for iv in intervals])
-    nonzero = theta0 != 0.0
-    sel = select_by_interval(intervals, method="hb" if method in HB_METHODS else "eb")
+def _discoveries(sel, theta0, regions):
+    """FDR, and true discoveries and nonzero counts by region label value."""
     rep = discovery_report(sel, theta0, regions)
     hits = {lab.value: int(c) for lab, c in rep.true_discoveries.items()}
     totals = {lab.value: 0 for lab in RegionLabel}
-    for i in np.flatnonzero(nonzero):
+    for i in np.flatnonzero(theta0 != 0.0):
         totals[regions[i].value] += 1
+    return rep.fdr, hits, totals
+
+
+def _score_intervals(method, intervals, theta0, regions, tau_value, runtime_s,
+                     ball=None):
+    covered = covers(intervals, theta0)
+    lengths = 2.0 * intervals.half_width
+    nonzero = theta0 != 0.0
+    sel = select_by_interval(intervals, method="hb" if method in HB_METHODS else "eb")
+    fdr, hits, totals = _discoveries(sel, theta0, regions)
 
     def _mean(x, mask):
         return float(np.mean(x[mask])) if mask.any() else None
@@ -326,7 +326,7 @@ def _score_intervals(method, intervals, theta0, regions, tau_value, runtime_s,
         length_nonzero=_mean(lengths, nonzero),
         length_zero=_mean(lengths, ~nonzero),
         tau=float(tau_value),
-        fdr=rep.fdr,
+        fdr=fdr,
         detect_hits=hits,
         detect_totals=totals,
         runtime_s=runtime_s,
@@ -336,17 +336,11 @@ def _score_intervals(method, intervals, theta0, regions, tau_value, runtime_s,
 
 
 def _threshold_report(Y, theta0, regions, tau, runtime_s):
-    theta0 = np.asarray(theta0, dtype=float)
-    sel = select_by_threshold(Y, tau)
-    rep = discovery_report(sel, theta0, regions)
-    hits = {lab.value: int(c) for lab, c in rep.true_discoveries.items()}
-    totals = {lab.value: 0 for lab in RegionLabel}
-    for i in np.flatnonzero(theta0 != 0.0):
-        totals[regions[i].value] += 1
+    fdr, hits, totals = _discoveries(select_by_threshold(Y, tau), theta0, regions)
     return RepReport(
         method="threshold", coverage_all=math.nan, coverage_nonzero=None,
         coverage_zero=None, length_all=math.nan, length_nonzero=None,
-        length_zero=None, tau=float(tau.tau), fdr=rep.fdr,
+        length_zero=None, tau=float(tau.tau), fdr=fdr,
         detect_hits=hits, detect_totals=totals, runtime_s=runtime_s,
     )
 
@@ -880,14 +874,12 @@ def _scale_from_arg(Y, text):
     return GlobalScale(float(text))
 
 
-def _print_interval_csv(Y, intervals, out=None):
-    writer = csv.writer(out if out is not None else sys.stdout, lineterminator="\n")
+def _print_interval_csv(Y, intervals):
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["index", "y", "center", "half_width", "lower", "upper"])
-    for i, (y, iv) in enumerate(zip(Y, intervals)):
-        writer.writerow([
-            i, f"{y:.12g}", f"{iv.center:.12g}", f"{iv.half_width:.12g}",
-            f"{iv.center - iv.half_width:.12g}", f"{iv.center + iv.half_width:.12g}",
-        ])
+    c, h = intervals.center, intervals.half_width
+    for i, row in enumerate(zip(Y, c, h, c - h, c + h)):
+        writer.writerow([i] + [f"{v:.12g}" for v in row])
 
 
 def _cmd_fit_tau(args):
@@ -922,11 +914,7 @@ def _cmd_ball(args):
 
 def _cmd_hb(args):
     Y = _read_observations(args.file)
-    prior = {
-        "cauchy": HyperPrior.half_cauchy,
-        "tcauchy": HyperPrior.truncated_half_cauchy,
-        "tuniform": HyperPrior.truncated_uniform,
-    }[args.prior]()
+    prior = HB_METHODS["hb-" + args.prior]()
     chain = run_chain(Y, prior, iters=args.iters, burn_in=args.burnin,
                       thin=args.thin, seed=args.seed)
     if args.chain_csv:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaincc, gammainccinv
 
-from .credible import CredibleBall, CredibleInterval
+from .credible import CredibleBall, _intervals
 from .kernels import SparsityRate, _as_obs
 from .tau import simple_estimator
 
@@ -277,7 +277,8 @@ def _check_chain(chain, alpha):
 
 
 def hb_marginal_intervals(chain, alpha, L=1.0, method="quantile"):
-    """Per-coordinate credible intervals from the kept draws.
+    """Per-coordinate credible intervals from the kept draws, as the
+    record array of interval_batch.
 
     method="quantile" takes the equal-tail alpha/2 and 1-alpha/2
     empirical quantiles, reported as midpoint plus half-range.
@@ -298,10 +299,7 @@ def hb_marginal_intervals(chain, alpha, L=1.0, method="quantile"):
         half = L * np.quantile(np.abs(T - centers[None, :]), 1.0 - alpha, axis=0)
     else:
         raise ValueError(f"unknown interval method {method!r}")
-    return [
-        CredibleInterval(center=float(c), half_width=float(h), alpha=float(alpha), blowup_L=float(L))
-        for c, h in zip(centers, half)
-    ]
+    return _intervals(centers, half)
 
 
 def hb_ball(chain, alpha, L=1.0):

@@ -5,7 +5,7 @@ from enum import Enum
 
 import numpy as np
 
-from .credible import RegionLabel
+from .credible import RegionLabel, covers
 from .kernels import log_integral_Ik
 
 __all__ = [
@@ -57,12 +57,7 @@ def select_by_interval(intervals, method="eb"):
     kind = {"eb": SelectionMethod.INTERVAL_EB, "hb": SelectionMethod.INTERVAL_HB}.get(method)
     if kind is None:
         raise ValueError(f"method must be 'eb' or 'hb', got {method!r}")
-    intervals = list(intervals)
-    selected = np.array([not iv.contains(0.0) for iv in intervals], dtype=bool)
-    params = {}
-    if intervals:
-        params = {"alpha": intervals[0].alpha, "L": intervals[0].blowup_L}
-    return SelectionResult(selected=selected, method=kind, params=params)
+    return SelectionResult(selected=~covers(intervals, 0.0), method=kind)
 
 
 def select_by_threshold(Y, tau, cutoff=0.5):

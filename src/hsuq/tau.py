@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import GlobalScale, _as_obs, log_marginal_lik, score_m
+from .kernels import GlobalScale, _as_obs, _tau_value, log_marginal_lik, score_m
 
 __all__ = ["TauMethod", "TauEstimate", "mmle", "simple_estimator", "score_sum", "fixed_tau"]
 
@@ -41,7 +41,7 @@ class TauEstimate:
 def score_sum(Y, tau):
     """Derivative of the log marginal likelihood in tau: (1/tau) * sum of scores."""
     arr = _as_obs(Y, 1)
-    t = tau.tau if isinstance(tau, GlobalScale) else float(tau)
+    t = _tau_value(tau)
     return float(np.sum(score_m(arr, t))) / t
 
 

@@ -143,6 +143,24 @@ class TestRunMethod:
             assert_allclose(iv.half_width,
                             1.96 * math.sqrt(posterior_variance(y, t)), rtol=1e-14)
 
+    def test_every_method_returns_an_interval_record_array(self):
+        Y, _ = generate(_config(n=30, p=3), 0)
+        for method in ("eb-mmle", "eb-simple", "normal-approx", "fixed:0.1",
+                       "hb-cauchy", "hb-tcauchy", "hb-tuniform"):
+            res = run_method(Y, method, 0.05, seed=2, hb_iters=200, hb_burn_in=100)
+            assert isinstance(res.intervals, np.recarray)
+            assert res.intervals.dtype.names == ("center", "half_width")
+            assert res.intervals.dtype["center"] == np.float64
+            assert res.intervals.dtype["half_width"] == np.float64
+            assert len(res.intervals) == 30
+
+    def test_eb_methods_reject_nonpositive_blowup(self):
+        Y, _ = generate(_config(), 0)
+        for method in ("eb-mmle", "eb-simple", "normal-approx", "fixed:0.1"):
+            for L in (0.0, -1.0):
+                with pytest.raises(ValueError, match="blow-up"):
+                    run_method(Y, method, 0.05, L=L)
+
     def test_unknown_method(self):
         Y, _ = generate(_config(), 0)
         with pytest.raises(ValueError, match="unknown method"):
@@ -223,6 +241,13 @@ class TestRunScenario:
         a, b = run_scenario(cfg), run_scenario(cfg)
         assert report_to_csv(a) == report_to_csv(b)
         assert report_to_json(a) == report_to_json(b)
+
+    def test_process_pool_output_matches_serial(self, monkeypatch):
+        cfg = _config(reps=3, methods=("eb-mmle", "normal-approx"), threshold=True)
+        monkeypatch.setenv("HSUQ_THREADS", "1")
+        serial = report_to_json(run_scenario(cfg))
+        monkeypatch.setenv("HSUQ_THREADS", "2")
+        assert report_to_json(run_scenario(cfg)) == serial
 
     def test_runtime_not_serialized(self):
         rep = run_scenario(_config(reps=1))

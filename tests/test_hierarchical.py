@@ -223,10 +223,10 @@ class TestMarginalIntervals:
         chain = Chain(thetas=thetas, taus=np.full(2000, 0.1), burn_in=0, thin=1, seed=0)
         base = hb_marginal_intervals(chain, alpha=0.05, method="centered")
         wide = hb_marginal_intervals(chain, alpha=0.05, L=2.0, method="centered")
-        for a, b in zip(base, wide):
+        for i, (a, b) in enumerate(zip(base, wide)):
             assert a.center == b.center
             assert b.half_width == pytest.approx(2.0 * a.half_width, rel=1e-12)
-            npt.assert_allclose(a.center, thetas[:, base.index(a)].mean(), rtol=1e-12)
+            npt.assert_allclose(a.center, thetas[:, i].mean(), rtol=1e-12)
 
     def test_fixed_tau_endpoints_match_quadrature(self):
         Y = _mixed_data()

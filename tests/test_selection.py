@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hsuq.credible import CredibleInterval, RegionLabel, interval_batch
+from hsuq.credible import RegionLabel, interval_batch
 from hsuq.kernels import GlobalScale, SparsityRate, posterior_mean, zeta
 from hsuq.selection import (
     DiscoveryReport,
@@ -19,33 +19,31 @@ from hsuq.selection import (
 from hsuq.tau import mmle
 
 
-def _iv(lo, hi, alpha=0.05, L=1.0):
-    return CredibleInterval(center=0.5 * (lo + hi), half_width=0.5 * (hi - lo),
-                            alpha=alpha, blowup_L=L)
+def _iv(lo, hi):
+    return np.rec.fromarrays([[0.5 * (lo + hi)], [0.5 * (hi - lo)]], names="center,half_width")
 
 
 class TestIntervalRule:
     def test_interval_straddling_zero_is_not_selected(self):
-        sel = select_by_interval([_iv(-1.0, 1.0)])
+        sel = select_by_interval(_iv(-1.0, 1.0))
         assert not sel.selected[0]
 
     def test_interval_away_from_zero_is_selected(self):
-        sel = select_by_interval([_iv(0.5, 2.0)])
+        sel = select_by_interval(_iv(0.5, 2.0))
         assert sel.selected[0]
 
     def test_boundary_interval_is_not_selected(self):
-        # contains() is closed, so an endpoint exactly at zero still counts
+        # covers() is closed, so an endpoint exactly at zero still counts
         # as containing it.
-        sel = select_by_interval([_iv(0.0, 2.0)])
+        sel = select_by_interval(_iv(0.0, 2.0))
         assert not sel.selected[0]
 
     def test_method_tag_and_params(self):
-        ivs = [_iv(-1.0, 1.0, alpha=0.1, L=2.0)]
+        ivs = _iv(-1.0, 1.0)
         eb = select_by_interval(ivs)
         hb = select_by_interval(ivs, method="hb")
         assert eb.method is SelectionMethod.INTERVAL_EB
         assert hb.method is SelectionMethod.INTERVAL_HB
-        assert eb.params == {"alpha": 0.1, "L": 2.0}
         with pytest.raises(ValueError):
             select_by_interval(ivs, method="threshold")
 
