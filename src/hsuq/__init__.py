@@ -80,6 +80,7 @@ __all__ = [
     "log_integral_Ik",
     "log_marginal_lik",
     "marginal_density",
+    "mmle",
     "posterior_mean",
     "posterior_variance",
     "region_blowups",

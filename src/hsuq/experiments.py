@@ -44,7 +44,6 @@ from .kernels import (
     SparsityRate,
     expansion_Hk,
     integral_Ik,
-    log_integral_Ik,
     marginal_density,
     posterior_mean,
     posterior_variance,

@@ -263,6 +263,34 @@ def _mixture_moments(
     return out
 
 
+def _tau_sweep(y2: np.ndarray, taus: np.ndarray):
+    """Summed score and log marginal likelihood at every tau of a grid, in one pass.
+
+    All taus share one panel layout, graded into the knee of the smallest
+    (which resolves every larger one), and one damping matrix per block of
+    rows, so memory is O(len(taus) * _CHUNK) whatever len(y2). Returns
+    ``(scores, loglik)``: ``sum(score_m(y, tau))`` and
+    ``log_marginal_lik(y, tau)`` per tau.
+    """
+    g = taus.size
+    u, wt = _panel_nodes(_panel_edges(float(taus.min()), math.sqrt(float(y2.max()))), 16)
+    u2 = u * u
+    om = 1.0 - u2
+    t2 = (taus * taus)[:, None]
+    base = 2.0 * wt / (t2 + (1.0 - t2) * u2)
+    fs = np.concatenate([base, base * u2, base * u2 * om])
+    scores = np.zeros(g)
+    logj = np.zeros(g)
+    for lo in range(0, y2.size, _CHUNK):
+        yc = y2[lo:lo + _CHUNK]
+        damp = np.exp(-0.5 * np.multiply.outer(yc, om))
+        j0, jz, jd = (fs @ damp.T).reshape(3, g, yc.size)
+        scores += np.sum(yc * jd / j0 - jz / j0, axis=1)
+        logj += np.sum(np.log(j0), axis=1)
+    const = np.log(taus) - math.log(math.pi) - _LOG_SQRT_2PI
+    return scores, y2.size * const + logj
+
+
 def _as_obs(Y, min_size):
     """Observation vector as a flat float array of at least min_size finite values."""
     arr = np.asarray(Y, dtype=float).ravel()

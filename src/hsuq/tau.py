@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import GlobalScale, _as_obs, _tau_value, log_marginal_lik, score_m
+from .kernels import GlobalScale, _as_obs, _tau_sweep, _tau_value, log_marginal_lik, score_m
 
 __all__ = ["TauMethod", "TauEstimate", "mmle", "simple_estimator", "score_sum", "fixed_tau"]
 
@@ -50,14 +50,16 @@ def mmle(Y) -> TauEstimate:
 
     The objective can be multimodal, so every sign change of the score
     on a log-spaced grid is refined and compared, together with both
-    endpoints, on the actual log likelihood.
+    endpoints, on the actual log likelihood. The grid is scanned in one
+    shared-node pass (``kernels._tau_sweep``). Diagnostics add
+    ``at_boundary`` (the estimate is 1/n or 1) and ``local_maxima`` (grid
+    sign changes of the score from positive to negative).
     """
     arr = _as_obs(Y, 2)
     n = arr.size
     lo = 1.0 / n
     grid = np.geomspace(lo, 1.0, GRID_POINTS)
-    scores = np.array([float(np.sum(score_m(arr, float(t)))) for t in grid])
-    objective = np.array([log_marginal_lik(arr, float(t)) for t in grid])
+    scores, objective = _tau_sweep(arr * arr, grid)
 
     sign_changes = []
     roots = []
@@ -85,6 +87,8 @@ def mmle(Y) -> TauEstimate:
         "sign_changes": sign_changes,
         "candidates": candidates,
         "bracket": sign_changes[0] if sign_changes else (lo, 1.0),
+        "at_boundary": tau_hat in (lo, 1.0),
+        "local_maxima": int(np.sum((scores[:-1] > 0.0) & (scores[1:] < 0.0))),
     }
     return TauEstimate(GlobalScale(tau_hat), TauMethod.MMLE, diagnostics)
 

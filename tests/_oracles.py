@@ -140,3 +140,33 @@ def marginal_cdf_quad(t, y, tau):
         limit=400,
     )[0]
     return num / den
+
+
+def loop_mmle(y):
+    """MMLE of tau by one pair of exact kernel calls per grid point.
+
+    The per-tau grid loop that the one-pass sweep in ``hsuq.tau.mmle``
+    replaced: score sums and log likelihoods on the same 200-point grid,
+    every sign change refined by ``brentq`` and compared with both
+    endpoints. Returns (tau_hat, grid, scores, objective).
+    """
+    from scipy.optimize import brentq
+
+    from hsuq.kernels import log_marginal_lik, score_m
+
+    y = np.asarray(y, dtype=float)
+    lo = 1.0 / y.size
+    grid = np.geomspace(lo, 1.0, 200)
+    scores = np.array([float(np.sum(score_m(y, float(t)))) for t in grid])
+    objective = np.array([log_marginal_lik(y, float(t)) for t in grid])
+    candidates = [lo, 1.0]
+    for i in range(len(grid) - 1):
+        if scores[i] == 0.0:
+            candidates.append(float(grid[i]))
+        if scores[i] * scores[i + 1] < 0.0:
+            candidates.append(float(brentq(
+                lambda t: float(np.sum(score_m(y, t))), grid[i], grid[i + 1], xtol=1e-10
+            )))
+    values = [log_marginal_lik(y, t) for t in candidates]
+    tau_hat = min(max(candidates[int(np.argmax(values))], lo), 1.0)
+    return tau_hat, grid, scores, objective

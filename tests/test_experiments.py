@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +441,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("radius ")
         assert "mc_se " in out
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hsuq", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fit-tau" in proc.stdout

@@ -1,16 +1,39 @@
 """Tests for the global-scale estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hsuq.credible import excessive_bias_diagnostic
-from hsuq.kernels import SparsityRate, log_marginal_lik
+from hsuq.kernels import SparsityRate, _tau_sweep, log_marginal_lik
 from hsuq.tau import TauMethod, fixed_tau, mmle, score_sum, simple_estimator
 
-from _oracles import grid_mmle
+from _oracles import grid_mmle, loop_mmle
+
+
+def _sparse(seed, n, k, size):
+    y = np.random.default_rng(seed).standard_normal(n)
+    y[:k] += size
+    return y
+
+
+# Inputs on which the one-pass grid sweep must reproduce the per-tau loop.
+SWEEP_INPUTS = {
+    "n2": lambda: 3.0 * np.random.default_rng(21).standard_normal(2),
+    "all_zero": lambda: np.zeros(100),
+    "null_400": lambda: np.random.default_rng(22).standard_normal(400),
+    "sparse_400_a": lambda: _sparse(23, 400, 20, 2.0 * math.sqrt(2.0 * math.log(400))),
+    "sparse_400_b": lambda: _sparse(24, 400, 8, 4.0),
+    "sparse_60": lambda: _sparse(25, 60, 3, 5.0),
+    "one_signal_1000": lambda: _sparse(26, 1000, 1, 8.0),
+    # |y| up to 40, beyond the float64 overflow of exp(y^2 / 2)
+    "huge_y": lambda: np.concatenate(
+        [np.linspace(20.0, 40.0, 10), np.random.default_rng(27).standard_normal(290)]),
+    "n_10k": lambda: _sparse(28, 10_000, 100, 5.0),
+}
 
 
 class TestScoreSum:
@@ -37,6 +60,22 @@ class TestMmle:
         est = mmle(np.zeros(100))
         assert est.tau == 1.0 / 100
         assert est.method is TauMethod.MMLE
+        assert est.diagnostics["at_boundary"] is True
+        assert est.diagnostics["local_maxima"] == 0
+
+    def test_boundary_diagnostics(self):
+        null = mmle(np.random.default_rng(3).standard_normal(400))
+        assert null.tau == 1.0 / 400
+        assert null.diagnostics["at_boundary"] is True
+        assert null.diagnostics["local_maxima"] == 0
+        dense = mmle(np.full(50, 10.0))
+        assert dense.tau == 1.0
+        assert dense.diagnostics["at_boundary"] is True
+        assert dense.diagnostics["local_maxima"] == 0
+        signals = mmle(_sparse(5, 400, 20, 5.0))
+        assert 1.0 / 400 < signals.tau < 1.0
+        assert signals.diagnostics["at_boundary"] is False
+        assert signals.diagnostics["local_maxima"] == 1
 
     def test_agrees_with_grid_oracle(self):
         rng = np.random.default_rng(4)
@@ -60,6 +99,8 @@ class TestMmle:
     def test_diagnostics_shape(self):
         est = mmle(np.random.default_rng(2).normal(0, 3, 80))
         d = est.diagnostics
+        assert {"grid", "objective", "sign_changes", "candidates", "bracket",
+                "at_boundary", "local_maxima"} <= set(d)
         assert len(d["grid"]) == len(d["objective"]) == 200
         assert all(lo < hi for lo, hi in d["sign_changes"])
         assert 1.0 / 80 in d["candidates"] and 1.0 in d["candidates"]
@@ -67,6 +108,33 @@ class TestMmle:
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
             mmle(np.array([1.0]))
+
+
+class TestGridSweep:
+    """The one-pass grid sweep against exact kernel calls at every tau."""
+
+    @pytest.mark.parametrize("name", list(SWEEP_INPUTS))
+    def test_matches_per_tau_loop(self, name):
+        y = SWEEP_INPUTS[name]()
+        tau_ref, grid, ref_scores, ref_objective = loop_mmle(y)
+        scores, objective = _tau_sweep(y * y, grid)
+        assert np.all(np.abs(scores - ref_scores) <= 1e-10 * np.maximum(1.0, np.abs(ref_scores)))
+        assert np.all(np.abs(objective - ref_objective) <= 1e-8)
+        est = mmle(y)
+        assert abs(est.tau - tau_ref) <= 1e-12 * tau_ref
+        assert np.array_equal(est.diagnostics["objective"], objective)
+
+    def test_memory_does_not_grow_with_n(self):
+        def peak(n):
+            y = _sparse(11, n, n // 100, 5.0)
+            tracemalloc.start()
+            try:
+                mmle(y)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) <= 1.5 * peak(10_000)
 
 
 class TestSimpleEstimator:
