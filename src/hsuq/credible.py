@@ -101,19 +101,20 @@ def covers(intervals, theta):
     return np.abs(np.asarray(theta, dtype=float) - intervals.center) <= intervals.half_width
 
 
-def ball_radius(Y, tau, alpha, draws, rng):
+def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     """(1-alpha) quantile of ||theta - mean|| over joint posterior draws.
 
     Returns (radius, mc_se) where the standard error comes from the
     usual order-statistic asymptotics with a finite-difference density
-    estimate at the quantile.
+    estimate at the quantile. ``_center`` is the posterior mean, if known.
     """
     draws = int(draws)
     if draws < 1000:
         raise ValueError(f"need at least 1000 draws for a stable quantile, got {draws}")
     batch = PosteriorBatch(Y, tau)
     M = batch.draw_matrix(draws, rng)
-    dist = np.linalg.norm(M - batch.means[None, :], axis=1)
+    center = batch.means if _center is None else _center
+    dist = np.linalg.norm(M - center[None, :], axis=1)
     p = 1.0 - float(alpha)
     r = float(np.quantile(dist, p))
     h = min(float(alpha) / 2.0, 0.02)
@@ -155,7 +156,7 @@ def credible_ball(Y, tau, alpha, L, draws, rng, method="mc"):
         )
     if method != "mc":
         raise ValueError(f"unknown ball method {method!r}")
-    r, se = ball_radius(Y, tau, alpha, draws, rng)
+    r, se = ball_radius(Y, tau, alpha, draws, rng, _center=center)
     return CredibleBall(
         center=center, radius=float(L) * r, alpha=float(alpha),
         blowup_L=float(L), mc_draws=int(draws), mc_se=float(L) * se,

@@ -229,13 +229,13 @@ class MethodResult:
 
 
 def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
-               want_ball=False, ball_draws=2000):
+               want_ball=False, ball_draws=2000, *, _mmle=None):
     """Run one interval method on one data vector.
 
     EB methods plug an estimated (or fixed) scale into the exact
     marginal posteriors; the normal approximation keeps the exact
     posterior mean and variance but uses a Gaussian quantile; HB methods
-    summarize a Gibbs chain.
+    summarize a Gibbs chain. ``_mmle`` is the MMLE of Y when already fitted.
     """
     if L <= 0.0:
         raise ValueError(f"blow-up factor must be positive, got {L}")
@@ -249,7 +249,7 @@ def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
         ball = hb_ball(chain, alpha, L=L) if want_ball else None
         return MethodResult(method=method, intervals=intervals, tau=scale, ball=ball)
     if method in ("eb-mmle", "normal-approx"):
-        tau = mmle(Y).value
+        tau = _mmle or mmle(Y).value
     elif method == "eb-simple":
         tau = simple_estimator(Y).value
     elif method.startswith("fixed:"):
@@ -354,24 +354,23 @@ def _run_one_rep(config, rep_index):
     Y, theta0 = generate(config, rep_index)
     regions = _regions_for(theta0, config.n, config.p)
     reports = []
-    mmle_scale = None
+    fit = None
+    if config.threshold or {"eb-mmle", "normal-approx"} & set(config.methods):
+        fit = mmle(Y).value
     for mi, method in enumerate(config.methods):
         hb_seed = int(np.random.SeedSequence([config.seed, rep_index, 1000 + mi]).generate_state(1)[0])
         start = time.perf_counter()
         res = run_method(
             Y, method, config.alpha, L=config.blowup_L, seed=hb_seed,
             hb_iters=config.hb_iters, hb_burn_in=config.hb_burn_in,
-            want_ball=config.ball, ball_draws=config.ball_draws,
+            want_ball=config.ball, ball_draws=config.ball_draws, _mmle=fit,
         )
         elapsed = time.perf_counter() - start
-        if method == "eb-mmle":
-            mmle_scale = res.tau
         reports.append(_score_intervals(method, res.intervals, theta0, regions,
                                         res.tau.tau, elapsed, ball=res.ball))
     if config.threshold:
         start = time.perf_counter()
-        tau = mmle_scale if mmle_scale is not None else mmle(Y).value
-        reports.append(_threshold_report(Y, theta0, regions, tau,
+        reports.append(_threshold_report(Y, theta0, regions, fit,
                                          time.perf_counter() - start))
     return reports
 

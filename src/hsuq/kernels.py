@@ -176,7 +176,8 @@ def _order_value(k) -> float:
 # Quadrature engine
 # ---------------------------------------------------------------------------
 
-_CHUNK = 4096  # rows of y handled per exp() block; keeps matrices ~30 MB
+_CHUNK = 4096  # rows of y per exp() block: a (rows, 400 nodes) matrix is ~13 MB
+_SWEEP_CHUNK = 1024  # the tau sweep's product has 600 rows per y: ~5 MB a block
 
 
 @lru_cache(maxsize=8)
@@ -258,8 +259,9 @@ def _mixture_moments(
     out = np.empty((len(powers), y2.size))
     for lo in range(0, y2.size, _CHUNK):
         hi = min(lo + _CHUNK, y2.size)
-        damp = np.exp(-0.5 * np.multiply.outer(y2[lo:hi], om))
-        out[:, lo:hi] = fs @ damp.T
+        damp = np.multiply.outer(y2[lo:hi], om)
+        damp *= -0.5
+        out[:, lo:hi] = fs @ np.exp(damp, out=damp).T
     return out
 
 
@@ -268,7 +270,7 @@ def _tau_sweep(y2: np.ndarray, taus: np.ndarray):
 
     All taus share one panel layout, graded into the knee of the smallest
     (which resolves every larger one), and one damping matrix per block of
-    rows, so memory is O(len(taus) * _CHUNK) whatever len(y2). Returns
+    rows, so memory is O(len(taus) * _SWEEP_CHUNK) whatever len(y2). Returns
     ``(scores, loglik)``: ``sum(score_m(y, tau))`` and
     ``log_marginal_lik(y, tau)`` per tau.
     """
@@ -281,8 +283,8 @@ def _tau_sweep(y2: np.ndarray, taus: np.ndarray):
     fs = np.concatenate([base, base * u2, base * u2 * om])
     scores = np.zeros(g)
     logj = np.zeros(g)
-    for lo in range(0, y2.size, _CHUNK):
-        yc = y2[lo:lo + _CHUNK]
+    for lo in range(0, y2.size, _SWEEP_CHUNK):
+        yc = y2[lo:lo + _SWEEP_CHUNK]
         damp = np.exp(-0.5 * np.multiply.outer(yc, om))
         j0, jz, jd = (fs @ damp.T).reshape(3, g, yc.size)
         scores += np.sum(yc * jd / j0 - jz / j0, axis=1)

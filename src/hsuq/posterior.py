@@ -30,6 +30,7 @@ from .kernels import (
 )
 
 __all__ = ["PosteriorBatch"]
+_BLOCK = 128  # rows per evaluator block: ~1 MB temporaries at 1000 nodes
 
 
 def _linear_density_invert(a, b, width, rho):
@@ -79,57 +80,82 @@ class PosteriorBatch:
     def variances(self):
         return posterior_variance(self.Y, self.tau.tau)
 
-    def _cdf_sub(self, idx, t):
-        z = self._u * self._u
-        arg = (t[:, None] - np.outer(self.Y[idx], z)) / self._u
-        return np.einsum("ij,ij->i", ndtr(arg), self._W[idx])
+    def _evaluate(self, rows, t):
+        """(F, f, f') stacked, of the listed rows at points t (rows x points).
 
-    def _pdf_sub(self, idx, t):
-        x = (t[:, None] - np.outer(self.Y[idx], self._u * self._u)) / self._u
-        phi = np.exp(-0.5 * x * x) / (self._u * math.sqrt(2.0 * math.pi))
-        return np.einsum("ij,ij->i", phi, self._W[idx])
+        One pass over the node matrix, in blocks of _BLOCK rows so every
+        temporary is O(_BLOCK x nodes): a = (t - y u^2)/u gives F = sum W ndtr(a)
+        and, with phi = exp(-a^2/2) / (u sqrt(2 pi)), f = sum W phi, f' = -sum W phi a/u.
+        """
+        u = self._u
+        out = np.empty((3,) + t.shape)
+        for lo in range(0, rows.size, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            W = self._W[rows[blk]]
+            yz = np.multiply.outer(self.Y[rows[blk]], u * u)
+            for j in range(t.shape[1]):
+                a = (t[blk, j, None] - yz) / u
+                out[0, blk, j] = np.einsum("ij,ij->i", ndtr(a), W)
+                phi = np.exp(-0.5 * a * a) / (u * math.sqrt(2.0 * math.pi))
+                out[1, blk, j] = np.einsum("ij,ij->i", phi, W)
+                phi *= a / u
+                out[2, blk, j] = -np.einsum("ij,ij->i", phi, W)
+        return out
 
     def cdf_rows(self, t):
         """Per-row CDF values; t may be scalar or one value per row."""
-        tt = np.ascontiguousarray(np.broadcast_to(np.asarray(t, dtype=float), (self.n,)))
-        return self._cdf_sub(np.arange(self.n), tt)
+        tt = np.broadcast_to(np.asarray(t, dtype=float), (self.n,))
+        return self._evaluate(np.arange(self.n), tt[:, None])[0, :, 0]
 
-    def _bracket(self, gap, anchor, edge, sign):
-        """Double each edge's distance from its anchor until sign * gap > 0."""
+    def _bracket(self, p, anchor, edge, sign):
+        """Double each edge's distance from its anchor until sign * (F - p) > 0."""
         idx = np.arange(self.n)
         for _ in range(60):
-            bad = sign * gap(idx, edge[idx]) <= 0.0
+            bad = sign * (self._evaluate(idx, edge[idx, None])[0, :, 0] - p) <= 0.0
             if not np.any(bad):
                 return edge
             idx = idx[bad]
             edge[idx] = anchor[idx] + 2.0 * (edge[idx] - anchor[idx])
         raise ArithmeticError("bracket expansion failed: target beyond the quadrature CDF's reach")
 
-    def _newton(self, gap, slope, x, lo, hi):
-        """Root of one increasing equation per row, safeguarded Newton.
+    def _solve(self, base, signs, target, x, lo, hi):
+        """Per-row root of the increasing g(x) = sum_j signs_j F(base_j + signs_j x) - target.
 
-        gap(idx, x) and slope(idx, x) give the residual and its derivative
-        for rows idx; gap < 0 at lo and > 0 at hi. A step that leaves the
-        bracket is replaced by bisection. Converged rows drop out of the
-        working set so the per-iteration cost shrinks as the easy
-        coordinates finish.
+        g < 0 at lo and > 0 at hi. One evaluator pass per iteration gives g,
+        g' and g''. Halley steps fall back to Newton when their denominator
+        is not positive, and bisect when they leave the bracket or |g| did
+        not halve since the last step. A row stops at |g| < 1e-9 or, at float
+        resolution, at a one-ulp bracket, and returns its point of least |g|.
+        ``diagnostics`` counts the rows ``capped`` at 80 iterations and those
+        stopped ``at_resolution``, with the largest least |g| (``max_residual``).
         """
         idx = np.arange(self.n)
-        for _ in range(80):
-            g = gap(idx, x[idx])
-            done = np.abs(g) < 1e-9
-            lo[idx] = np.where(g < 0.0, np.maximum(lo[idx], x[idx]), lo[idx])
-            hi[idx] = np.where(g > 0.0, np.minimum(hi[idx], x[idx]), hi[idx])
-            idx = idx[~done]
-            if idx.size == 0:
+        best, resid, prev = x.copy(), np.full(self.n, np.inf), np.full(self.n, np.inf)
+        stalled = 0
+        for it in range(80):
+            xi = x[idx]
+            F, f, fp = self._evaluate(idx, base[idx] + signs * xi[:, None])
+            g = F @ signs - target
+            better = np.abs(g) < resid[idx]
+            best[idx[better]], resid[idx[better]] = xi[better], np.abs(g[better])
+            lo[idx] = np.where(g < 0.0, xi, lo[idx])
+            hi[idx] = np.where(g > 0.0, xi, hi[idx])
+            live = np.abs(g) >= 1e-9
+            flat = hi[idx] - lo[idx] <= np.spacing(np.maximum(np.abs(lo[idx]), np.abs(hi[idx])))
+            stalled += int(np.count_nonzero(live & flat))
+            live &= ~flat
+            idx, xi, g, d1, d2 = idx[live], xi[live], g[live], f[live].sum(1), fp[live] @ signs
+            if idx.size == 0 or it == 79:
                 break
-            g = g[~done]
-            s = slope(idx, x[idx])
+            den = 2.0 * d1 * d1 - g * d2
             with np.errstate(divide="ignore", invalid="ignore"):
-                x_new = x[idx] - np.where(s > 0.0, g / s, 0.0)
-            outside = (x_new <= lo[idx]) | (x_new >= hi[idx]) | ~np.isfinite(x_new)
-            x[idx] = np.where(outside, 0.5 * (lo[idx] + hi[idx]), x_new)
-        return x
+                x_new = xi - np.where(den > 0.0, 2.0 * g * d1 / den, g / d1)
+            bisect = ((x_new <= lo[idx]) | (x_new >= hi[idx]) | ~np.isfinite(x_new)
+                      | (np.abs(g) > 0.5 * prev[idx]))
+            prev[idx] = np.abs(g)
+            x[idx] = np.where(bisect, 0.5 * (lo[idx] + hi[idx]), x_new)
+        self.diagnostics = dict(capped=idx.size, at_resolution=stalled, max_residual=resid.max())
+        return best
 
     def radius_batch(self, alpha):
         """Per-row radius r with posterior mass 1 - alpha on [mean - r, mean + r]."""
@@ -137,19 +163,15 @@ class PosteriorBatch:
         if not 0.0 < alpha <= 0.5:
             raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
         target = 1.0 - alpha
-        c = self.means
-
-        def gap(idx, r):
-            return self._cdf_sub(idx, c[idx] + r) - self._cdf_sub(idx, c[idx] - r) - target
-
-        def slope(idx, r):
-            return self._pdf_sub(idx, c[idx] + r) + self._pdf_sub(idx, c[idx] - r)
-
-        lo = np.zeros(self.n)
-        hi = self._bracket(gap, lo, np.abs(self.Y) + 10.0, 1.0)
+        # at r = |y| + 10 every ndtr argument lies beyond +-10, where ndtr is
+        # 1.0 or below 1e-23, so the gap there is the node mass minus the target
+        hi = np.abs(self.Y) + 10.0
+        if np.any(self._W.sum(axis=1) - target <= 0.0):
+            raise ArithmeticError("no finite radius reaches the target mass")
         # normal-approximation start
         r = np.clip(ndtri(1.0 - alpha / 2.0) * np.sqrt(self.variances), 1e-6, hi)
-        return self._newton(gap, slope, r, lo, hi)
+        c = np.repeat(self.means[:, None], 2, axis=1)
+        return self._solve(c, np.array([1.0, -1.0]), target, r, np.zeros(self.n), hi)
 
     def quantile_rows(self, p):
         """Per-row p-quantile of the posterior, started at the posterior mean."""
@@ -157,14 +179,10 @@ class PosteriorBatch:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {p}")
         c = self.means
-
-        def gap(idx, q):
-            return self._cdf_sub(idx, q) - p
-
         half = np.maximum(1.0, np.sqrt(self.variances))
-        lo = self._bracket(gap, c, c - half, -1.0)
-        hi = self._bracket(gap, c, c + half, 1.0)
-        return self._newton(gap, self._pdf_sub, c.copy(), lo, hi)
+        lo = self._bracket(p, c, c - half, -1.0)
+        hi = self._bracket(p, c, c + half, 1.0)
+        return self._solve(np.zeros((self.n, 1)), np.ones(1), p, c.copy(), lo, hi)
 
     @cached_property
     def _cells(self):

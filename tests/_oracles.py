@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 
 def midpoint_Ik(y, tau, k, n=1_000_000):
@@ -170,3 +171,86 @@ def loop_mmle(y):
     values = [log_marginal_lik(y, t) for t in candidates]
     tau_hat = min(max(candidates[int(np.argmax(values))], lo), 1.0)
     return tau_hat, grid, scores, objective
+
+
+def _newton_solve(batch, gap, slope, x, lo, hi):
+    # safeguarded Newton: a step that leaves the bracket is replaced by
+    # bisection; rows drop out once |gap| < 1e-9 or after 80 iterations
+    idx = np.arange(batch.n)
+    for _ in range(80):
+        g = gap(idx, x[idx])
+        done = np.abs(g) < 1e-9
+        lo[idx] = np.where(g < 0.0, np.maximum(lo[idx], x[idx]), lo[idx])
+        hi[idx] = np.where(g > 0.0, np.minimum(hi[idx], x[idx]), hi[idx])
+        idx = idx[~done]
+        if idx.size == 0:
+            break
+        g = g[~done]
+        s = slope(idx, x[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = x[idx] - np.where(s > 0.0, g / s, 0.0)
+        outside = (x_new <= lo[idx]) | (x_new >= hi[idx]) | ~np.isfinite(x_new)
+        x[idx] = np.where(outside, 0.5 * (lo[idx] + hi[idx]), x_new)
+    return x
+
+
+def _bracket_edge(gap, anchor, edge, sign):
+    idx = np.arange(edge.size)
+    for _ in range(60):
+        bad = sign * gap(idx, edge[idx]) <= 0.0
+        if not np.any(bad):
+            return edge
+        idx = idx[bad]
+        edge[idx] = anchor[idx] + 2.0 * (edge[idx] - anchor[idx])
+    raise ArithmeticError("bracket expansion failed")
+
+
+def _batch_cdf(batch, idx, t):
+    from scipy.special import ndtr
+
+    u = batch._u
+    arg = (t[:, None] - np.outer(batch.Y[idx], u * u)) / u
+    return np.einsum("ij,ij->i", ndtr(arg), batch._W[idx])
+
+
+def _batch_pdf(batch, idx, t):
+    u = batch._u
+    x = (t[:, None] - np.outer(batch.Y[idx], u * u)) / u
+    phi = np.exp(-0.5 * x * x) / (u * math.sqrt(2.0 * math.pi))
+    return np.einsum("ij,ij->i", phi, batch._W[idx])
+
+
+def newton_radius(batch, alpha):
+    """Per-row radius of a PosteriorBatch by separate gap and slope passes.
+
+    The two-pass Newton solve that the fused Halley solver in
+    ``PosteriorBatch.radius_batch`` replaced: every iteration evaluates
+    the mass gap (two cdf passes) and then its slope (two density passes)
+    on the batch's own nodes and weights, after a doubling bracket check.
+    """
+    target = 1.0 - float(alpha)
+    c = batch.means
+
+    def gap(idx, r):
+        return _batch_cdf(batch, idx, c[idx] + r) - _batch_cdf(batch, idx, c[idx] - r) - target
+
+    def slope(idx, r):
+        return _batch_pdf(batch, idx, c[idx] + r) + _batch_pdf(batch, idx, c[idx] - r)
+
+    lo = np.zeros(batch.n)
+    hi = _bracket_edge(gap, lo, np.abs(batch.Y) + 10.0, 1.0)
+    r = np.clip(ndtri(1.0 - float(alpha) / 2.0) * np.sqrt(batch.variances), 1e-6, hi)
+    return _newton_solve(batch, gap, slope, r, lo, hi)
+
+
+def newton_quantile(batch, p):
+    """Per-row p-quantile of a PosteriorBatch by the same two-pass Newton."""
+    c = batch.means
+
+    def gap(idx, q):
+        return _batch_cdf(batch, idx, q) - p
+
+    half = np.maximum(1.0, np.sqrt(batch.variances))
+    lo = _bracket_edge(gap, c, c - half, -1.0)
+    hi = _bracket_edge(gap, c, c + half, 1.0)
+    return _newton_solve(batch, gap, lambda idx, q: _batch_pdf(batch, idx, q), c.copy(), lo, hi)

@@ -179,6 +179,21 @@ class TestCredibleBallOp:
         ball = credible_ball(Y, tau, alpha=0.05, L=1.0, draws=1500, rng=rng)
         npt.assert_allclose(ball.center, PosteriorBatch(Y, tau).means, rtol=0, atol=0)
 
+    def test_one_posterior_mean_per_ball(self, monkeypatch):
+        import hsuq.credible
+        import hsuq.posterior
+
+        Y = np.random.default_rng(16).standard_normal(80)
+        want = ball_radius(Y, 0.1, 0.05, 1200, np.random.default_rng(4))
+        calls = []
+        for mod in (hsuq.credible, hsuq.posterior):
+            real = mod.posterior_mean
+            monkeypatch.setattr(mod, "posterior_mean",
+                                lambda y, t, real=real: calls.append(1) or real(y, t))
+        ball = credible_ball(Y, 0.1, 0.05, 1.0, 1200, np.random.default_rng(4))
+        assert len(calls) == 1
+        assert (ball.radius, ball.mc_se) == want
+
     def test_blowup_scales_radius_exactly(self):
         Y = np.linspace(-1.0, 2.0, 30)
         tau = GlobalScale(0.2)

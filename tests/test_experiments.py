@@ -253,6 +253,19 @@ class TestRunScenario:
         monkeypatch.setenv("HSUQ_THREADS", "2")
         assert report_to_json(run_scenario(cfg)) == serial
 
+    def test_one_mmle_fit_per_replication(self, monkeypatch):
+        import hsuq.experiments
+
+        real = hsuq.experiments.mmle
+        fits = []
+        monkeypatch.setattr(hsuq.experiments, "mmle", lambda Y: fits.append(1) or real(Y))
+        monkeypatch.setenv("HSUQ_THREADS", "1")
+        cfg = _config(reps=3, methods=("eb-mmle", "normal-approx"), threshold=True)
+        rep = run_scenario(cfg)
+        assert len(fits) == 3
+        taus = {rep.metrics[m]["mean_tau"] for m in ("eb-mmle", "normal-approx", "threshold")}
+        assert len(taus) == 1
+
     def test_runtime_not_serialized(self):
         rep = run_scenario(_config(reps=1))
         assert "runtime_s" in rep.metrics["eb-mmle"]

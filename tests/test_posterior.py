@@ -1,6 +1,7 @@
 """Tests for the per-coordinate posterior law and its batch machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from scipy.special import ndtri
 from hsuq.credible import covers, interval_batch
 from hsuq.kernels import posterior_mean, posterior_variance
 from hsuq.posterior import PosteriorBatch
+from hsuq.tau import mmle
 
-from _oracles import marginal_cdf_quad
+from _oracles import marginal_cdf_quad, newton_quantile, newton_radius
 
 # one (y, tau) pair per regime: observation far below, near, and far
 # above the threshold scale sqrt(2 log(1/tau))
@@ -287,3 +289,90 @@ class TestCdfImpliedMean:
             lower = quad(lambda t: cdf1(post, t), -np.inf, 0.0,
                          epsabs=1e-10, epsrel=1e-9, limit=400)[0]
             assert_allclose(upper - lower, posterior_mean(y, tau), atol=1e-6)
+
+
+def eb_batch(seed, n=400):
+    """An EB study's batch: 5% of n signals near 2 sqrt(2 log n), tau by MMLE."""
+    rng = np.random.default_rng([seed, n])
+    y = rng.standard_normal(n)
+    y[: n // 20] += rng.normal(2.0 * math.sqrt(2.0 * math.log(n)), 1.0, n // 20)
+    return PosteriorBatch(y, mmle(y).value)
+
+
+def mass_residual(batch, r, alpha):
+    c = batch.means
+    return np.abs(batch.cdf_rows(c + r) - batch.cdf_rows(c - r) - (1.0 - alpha))
+
+
+class TestSolver:
+    """The fused Halley solver against the two-pass Newton it replaced."""
+
+    def batches(self):
+        grid = [PosteriorBatch([y for y, t in REGIME_GRID if t == tau], tau)
+                for tau in sorted({t for _, t in REGIME_GRID})]
+        return grid + [eb_batch(1), eb_batch(2)]
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01])
+    def test_radius_matches_newton_oracle(self, alpha):
+        for batch in self.batches():
+            assert_allclose(batch.radius_batch(alpha), newton_radius(batch, alpha), atol=1e-7)
+            assert batch.diagnostics["capped"] == batch.diagnostics["at_resolution"] == 0
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01])
+    def test_quantiles_match_newton_oracle(self, alpha):
+        for batch in self.batches():
+            for p in (alpha / 2.0, 1.0 - alpha / 2.0):
+                assert_allclose(batch.quantile_rows(p), newton_quantile(batch, p), atol=1e-7)
+
+    def test_extreme_level_reaches_target_mass(self):
+        # at alpha = 1e-4 two valid roots can differ by 2e-5, so check the
+        # mass each radius encloses instead of the oracle's radius
+        for batch in self.batches():
+            r = batch.radius_batch(1e-4)
+            assert np.all(mass_residual(batch, r, 1e-4) <= 1e-9)
+
+    def test_eb_data_reports_no_capped_rows(self):
+        batch = eb_batch(3)
+        r = batch.radius_batch(0.05)
+        d = batch.diagnostics
+        assert d["capped"] == 0 and d["at_resolution"] == 0
+        assert d["max_residual"] == np.max(mass_residual(batch, r, 0.05)) < 1e-9
+
+    def test_stops_at_float_resolution(self):
+        # the quadrature cdf jumps by ~0.8 within ~1e-12 in r here, so a
+        # mass residual of 1e-9 is out of float64's reach: the rows stop at
+        # a one-ulp bracket, flagged, at the best float radius
+        batch = PosteriorBatch([6.5, -6.5], 1e-8)
+        r = batch.radius_batch(0.5)
+        d = batch.diagnostics
+        assert d["capped"] == 0 and d["at_resolution"] == 2
+        res = mass_residual(batch, r, 0.5)
+        assert d["max_residual"] == np.max(res) and np.all(res > 1e-9)
+        for step in (-1, 1):
+            assert np.all(mass_residual(batch, r + step * np.spacing(r), 0.5) >= res)
+
+    def test_work_count(self):
+        # deterministic guard on the evaluator work: row evaluations per
+        # solve; the two-pass Newton took about 6 n on this input
+        batch = eb_batch(4)
+        rows = []
+        evaluate = PosteriorBatch._evaluate
+
+        def counting(self, idx, t):
+            rows.append(idx.size)
+            return evaluate(self, idx, t)
+
+        batch._evaluate = counting.__get__(batch)
+        batch.radius_batch(0.05)
+        assert sum(rows) <= 3.5 * batch.n
+
+    def test_memory_stays_in_row_blocks(self):
+        batch = eb_batch(5, n=5000)
+        batch.means, batch.variances
+        tracemalloc.start()
+        try:
+            batch.radius_batch(0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * batch._W.nbytes

@@ -136,6 +136,16 @@ class TestGridSweep:
 
         assert peak(50_000) <= 1.5 * peak(10_000)
 
+    def test_peak_memory_at_ten_thousand(self):
+        y = _sparse(11, 10_000, 100, 5.0)
+        tracemalloc.start()
+        try:
+            mmle(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 35e6
+
 
 class TestSimpleEstimator:
     def test_five_exceedances(self):
