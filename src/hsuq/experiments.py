@@ -499,12 +499,6 @@ def report_to_json(report):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-_CONFIG_KEYS = {
-    "name", "n", "p", "signal", "reps", "seed", "alpha", "l", "methods",
-    "threshold", "hb_iters", "hb_burn_in", "ball", "ball_draws",
-}
-
-
 def parse_config(text):
     """Parse flat `key = value` lines; # starts a comment."""
     raw = {}
@@ -516,7 +510,7 @@ def parse_config(text):
             raise ValueError(f"config line {lineno}: expected key = value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
@@ -552,30 +546,33 @@ def _parse_bool(value):
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+# config key -> (ScenarioConfig field, parser of the value text)
+_CONFIG_FIELDS = {
+    "n": ("n", int),
+    "p": ("p", int),
+    "signal": ("signal", _parse_signal),
+    "reps": ("reps", int),
+    "seed": ("seed", int),
+    "alpha": ("alpha", float),
+    "l": ("blowup_L", float),
+    "methods": ("methods", lambda text: tuple(m.strip() for m in text.split(",") if m.strip())),
+    "name": ("name", str),
+    "threshold": ("threshold", _parse_bool),
+    "hb_iters": ("hb_iters", int),
+    "hb_burn_in": ("hb_burn_in", int),
+    "ball": ("ball", _parse_bool),
+    "ball_draws": ("ball_draws", int),
+}
+
+
 def build_scenario(raw):
-    """Turn parsed config keys into a ScenarioConfig."""
+    """Turn parsed config keys into a ScenarioConfig; absent keys keep its defaults."""
     missing = {"n", "p", "signal", "reps", "seed"} - raw.keys()
     if missing:
         raise ValueError(f"config missing required keys: {sorted(missing)}")
-    methods = tuple(
-        m.strip() for m in raw.get("methods", "eb-mmle").split(",") if m.strip()
-    )
-    return ScenarioConfig(
-        n=int(raw["n"]),
-        p=int(raw["p"]),
-        signal=_parse_signal(raw["signal"]),
-        reps=int(raw["reps"]),
-        seed=int(raw["seed"]),
-        alpha=float(raw.get("alpha", "0.05")),
-        blowup_L=float(raw.get("l", "1.0")),
-        methods=methods,
-        name=raw.get("name", "scenario"),
-        threshold=_parse_bool(raw.get("threshold", "false")),
-        hb_iters=int(raw.get("hb_iters", "3000")),
-        hb_burn_in=int(raw.get("hb_burn_in", "500")),
-        ball=_parse_bool(raw.get("ball", "false")),
-        ball_draws=int(raw.get("ball_draws", "2000")),
-    )
+    return ScenarioConfig(**{
+        name: parse(raw[key]) for key, (name, parse) in _CONFIG_FIELDS.items() if key in raw
+    })
 
 
 # ---------------------------------------------------------------------------

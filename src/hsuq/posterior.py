@@ -5,9 +5,10 @@ coordinate mean is a scale mixture of normals. Conditional on the
 shrinkage weight z = lam^2 tau^2 / (1 + lam^2 tau^2) the law is
 Normal(z*y, z), and z itself lives on (0, 1) with density proportional
 to z^(-1/2) (tau^2 + (1 - tau^2) z)^(-1) exp(y^2 z / 2). Everything in
-this module reduces to quadrature against that weight distribution,
-reusing the panel layout of the kernels module. The exp(y^2 z / 2)
-factor is always damped by exp(-y^2 / 2) so nothing overflows.
+this module reduces to quadrature against that weight distribution. The
+nodes, their prior weights and the damping by exp(-y^2 / 2) (so nothing
+overflows) come from the one quadrature layout of the kernels module
+(``kernels._layout``), with the batch's panel halvings ``_BATCH_SPLITS``.
 
 `PosteriorBatch` is the one posterior type; a single coordinate is a
 one-row batch, `PosteriorBatch([y], tau)`.
@@ -20,11 +21,12 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .kernels import (
+    _BATCH_SPLITS,
     GlobalScale,
     _as_obs,
-    _panel_edges,
-    _panel_nodes,
-    _split_edges,
+    _damp,
+    _layout,
+    _prior,
     posterior_mean,
     posterior_variance,
 )
@@ -54,19 +56,16 @@ class PosteriorBatch:
     nodes in u = sqrt(z); only the mixture weights differ per row.
     """
 
-    def __init__(self, Y, tau, splits=2):
+    def __init__(self, Y, tau):
         self.Y = np.ascontiguousarray(_as_obs(Y, 1))
         self.tau = tau if isinstance(tau, GlobalScale) else GlobalScale(float(tau))
-        t = self.tau.tau
-        edges = _panel_edges(t, float(np.max(np.abs(self.Y))))
-        for _ in range(splits):
-            edges = _split_edges(edges)
-        self._edges = edges
-        self._u, wt = _panel_nodes(edges, 16)
-        base = wt * 2.0 / (t * t + (1.0 - t * t) * self._u * self._u)
-        expo = np.exp(-0.5 * np.outer(self.Y * self.Y, 1.0 - self._u * self._u))
-        W = expo * base
-        self._W = W / W.sum(axis=1, keepdims=True)
+        ymax = float(np.max(np.abs(self.Y)))
+        self._edges, self._u, w = _layout(self.tau.tau, ymax, _BATCH_SPLITS)
+        # one (n, nodes) matrix, built in place: damp, weight, normalise
+        W = _damp(self.Y * self.Y, self._u)
+        W *= w
+        W /= W.sum(axis=1, keepdims=True)
+        self._W = W
 
     @property
     def n(self):
@@ -187,16 +186,14 @@ class PosteriorBatch:
     @cached_property
     def _cells(self):
         # Panel-level masses and normalized edge densities for fast draws.
-        t = self.tau.tau
         n_panels = len(self._edges) - 1
-        mass = self._W.reshape(self.n, n_panels, 16).sum(axis=2)
+        mass = self._W.reshape(self.n, n_panels, -1).sum(axis=2)
         mass = np.maximum(mass, 0.0)
         mass /= mass.sum(axis=1, keepdims=True)
         cum = np.cumsum(mass, axis=1)
         cum[:, -1] = 1.0
-        e = self._edges
-        dens = 2.0 / (t * t + (1.0 - t * t) * e * e)
-        dens = dens[None, :] * np.exp(-0.5 * np.outer(self.Y * self.Y, 1.0 - e * e))
+        dens = _damp(self.Y * self.Y, self._edges)
+        dens *= _prior(self.tau.tau, self._edges)
         return mass, cum, dens
 
     def _invert_flat(self, v, rows):

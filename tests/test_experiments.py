@@ -307,6 +307,10 @@ class TestConfigParsing:
         assert cfg.methods == ("eb-mmle", "fixed:0.2")
         assert cfg.threshold is True
 
+    def test_absent_keys_keep_the_dataclass_defaults(self):
+        cfg = build_scenario(parse_config("n = 50\np = 2\nsignal = fixed:3\nreps = 4\nseed = 9"))
+        assert cfg == ScenarioConfig(n=50, p=2, signal=FixedValue(3.0), reps=4, seed=9)
+
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key 'widgets'"):
             parse_config("widgets = 3")

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from hsuq import kernels
 from hsuq.kernels import (
     KERNEL_ORDERS,
     SCORE_UPPER_BOUND,
@@ -90,6 +91,27 @@ class TestKernelIntegral:
         err = QuadratureError("no convergence", estimate=1.25)
         assert isinstance(err, ArithmeticError)
         assert err.estimate == 1.25
+
+    def test_unconverged_refinement_raises(self, monkeypatch):
+        # every panel halving moves the moment by 1e-6, so the refine-delta
+        # estimate never reaches the 1e-11 the loop asks for
+        def drifting(y2, tau, powers, splits=0):
+            return np.array([[1.0 + 1e-6 * splits]])
+
+        monkeypatch.setattr(kernels, "_mixture_moments", drifting)
+        with pytest.raises(QuadratureError, match=r"estimate 1\.000e-06 exceeds 1e-11$") as info:
+            integral_Ik(1.0, 0.1, -0.5)
+        assert info.value.estimate == pytest.approx(1e-6 / (1.0 + 4e-6), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", [
+    "marginal_density", "log_marginal_density", "log_marginal_lik", "log_integral_Ik",
+    "score_m", "posterior_mean", "posterior_variance", "posterior_fourth_central",
+])
+def test_array_entry_points_name_the_nonfinite_coordinate(name):
+    args = (0.1, 0.5) if name == "log_integral_Ik" else (0.1,)
+    with pytest.raises(ValueError, match="coordinate 1: value not finite"):
+        getattr(kernels, name)(np.array([0.5, np.nan]), *args)
 
 
 class TestMarginalDensity:

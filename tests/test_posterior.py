@@ -272,6 +272,18 @@ class TestPosteriorBatch:
                 se = max(math.sqrt(F * (1 - F) / M.shape[0]), 1e-9)
                 assert abs(np.mean(M[:, i] <= t) - F) < 5 * se
 
+    def test_construction_holds_one_node_matrix(self):
+        # W is damped, weighted and normalised in place: no second or
+        # third (n, nodes) temporary during construction
+        Y = np.random.default_rng(12).standard_normal(5000)
+        tracemalloc.start()
+        try:
+            batch = PosteriorBatch(Y, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * batch._W.nbytes
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             PosteriorBatch(np.array([]), 0.1)
