@@ -334,8 +334,11 @@ def _score_intervals(method, intervals, theta0, regions, tau_value, runtime_s,
     )
 
 
-def _threshold_report(Y, theta0, regions, tau, runtime_s):
-    fdr, hits, totals = _discoveries(select_by_threshold(Y, tau), theta0, regions)
+def _threshold_report(Y, theta0, regions, tau):
+    start = time.perf_counter()
+    sel = select_by_threshold(Y, tau)
+    runtime_s = time.perf_counter() - start
+    fdr, hits, totals = _discoveries(sel, theta0, regions)
     return RepReport(
         method="threshold", coverage_all=math.nan, coverage_nonzero=None,
         coverage_zero=None, length_all=math.nan, length_nonzero=None,
@@ -369,9 +372,7 @@ def _run_one_rep(config, rep_index):
         reports.append(_score_intervals(method, res.intervals, theta0, regions,
                                         res.tau.tau, elapsed, ball=res.ball))
     if config.threshold:
-        start = time.perf_counter()
-        reports.append(_threshold_report(Y, theta0, regions, fit,
-                                         time.perf_counter() - start))
+        reports.append(_threshold_report(Y, theta0, regions, fit))
     return reports
 
 

@@ -233,7 +233,7 @@ def _damp(y2, u):
 
 
 def _layout(tau, y_abs_max: float, splits: int = 0):
-    """The one quadrature layout of the package: ``(edges, u, weights)``.
+    """The one quadrature layout of the package: ``(u, weights)``.
 
     Panels graded for min(tau) and y_abs_max and halved ``splits`` times
     carry _GAUSS_ORDER nodes each; the weights are Gauss weights times the
@@ -244,7 +244,7 @@ def _layout(tau, y_abs_max: float, splits: int = 0):
     for _ in range(splits):
         edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     u, wt = _panel_nodes(edges)
-    return edges, u, _prior(tau, u, wt)
+    return u, _prior(tau, u, wt)
 
 
 def _mixture_moments(y2: np.ndarray, tau: float, powers, splits: int = 0) -> np.ndarray:
@@ -268,7 +268,7 @@ def _mixture_moments(y2: np.ndarray, tau: float, powers, splits: int = 0) -> np.
         integral; it never overflows.
     """
     ymax = math.sqrt(float(y2.max())) if y2.size else 0.0
-    _, u, w = _layout(tau, ymax, splits)
+    u, w = _layout(tau, ymax, splits)
     om = 1.0 - u * u
     fs = np.stack([w * u**a * om**b for a, b in powers])
     out = np.empty((len(powers), y2.size))
@@ -287,7 +287,7 @@ def _tau_sweep(y2: np.ndarray, taus: np.ndarray):
     ``log_marginal_lik(y, tau)`` per tau.
     """
     g = taus.size
-    _, u, w = _layout(taus, math.sqrt(float(y2.max())))
+    u, w = _layout(taus, math.sqrt(float(y2.max())))
     u2 = u * u
     fs = np.concatenate([w, w * u2, w * u2 * (1.0 - u2)])
     scores = np.zeros(g)
@@ -470,23 +470,39 @@ def posterior_mean(y, tau) -> "float | np.ndarray":
     return _restore(vals, shape, scalar)
 
 
+def _weight_moments(y2: np.ndarray, t: float, order: int):
+    """E z, E z^2 and the central moments c_2..c_order of the weight z.
+
+    The central moments come from the raw moments of z where E z < 1/2 and
+    of w = 1 - z otherwise (odd ones change sign), so the subtracted powers
+    of the mean stay below 1/2 and cancel little at either end of (0, 1).
+    """
+    ks = range(1, order + 1)
+    j0, *js = _mixture_moments(y2, t, [(0, 0)] + [(2 * k, 0) for k in ks] + [(0, k) for k in ks])
+    raw = np.array(js) / j0
+    ez = raw[0]
+    low = ez < 0.5
+    s = np.where(low, raw[:order], raw[order:])  # s[k-1] = E v^k, v = z or w
+    central = []
+    for r in range(2, order + 1):
+        c = (-s[0]) ** r + sum(math.comb(r, k) * s[k - 1] * (-s[0]) ** (r - k)
+                               for k in range(1, r + 1))
+        central.append(c if r % 2 == 0 else np.where(low, c, -c))
+    return ez, raw[1], central
+
+
 def posterior_variance(y, tau) -> "float | np.ndarray":
     """Posterior variance of the parameter given one observation.
 
-    In terms of the shrinkage weight z, equals y^2 Var(z | y) + E(z | y).
-    Var(z | y) is computed from the moments of w = 1 - z, which share a
-    common magnitude at large |y|, so the subtraction loses no precision
-    where the naive form E z^2 - (E z)^2 would.
+    In terms of the shrinkage weight z, equals y^2 Var(z | y) + E(z | y),
+    with Var(z | y) from whichever of z and w = 1 - z has the smaller mean,
+    so the subtraction keeps full precision at tiny tau and at large |y|.
     """
     t = _tau_value(tau)
     flat, shape, scalar = _as_flat(y)
     y2 = flat * flat
-    j0, jz, jw1, jw2 = _mixture_moments(y2, t, [(0, 0), (2, 0), (0, 1), (0, 2)])
-    ez = jz / j0
-    m1 = jw1 / j0
-    m2 = jw2 / j0
-    vals = y2 * (m2 - m1 * m1) + ez
-    return _restore(vals, shape, scalar)
+    ez, _, (c2,) = _weight_moments(y2, t, 2)
+    return _restore(y2 * c2 + ez, shape, scalar)
 
 
 def posterior_fourth_central(y, tau) -> "float | np.ndarray":
@@ -497,25 +513,15 @@ def posterior_fourth_central(y, tau) -> "float | np.ndarray":
 
         mu4 = y^4 E[(z - Ez)^4] + 6 y^2 E[z (z - Ez)^2] + 3 E[z^2],
 
-    with all z-moments expressed through raw moments of w = 1 - z to keep
-    the arithmetic stable at large |y|. Always at least the squared
+    where E[z (z - Ez)^2] = c3 + Ez c2 in the central moments c_r of z,
+    taken as in :func:`posterior_variance`. Always at least the squared
     posterior variance.
     """
     t = _tau_value(tau)
     flat, shape, scalar = _as_flat(y)
     y2 = flat * flat
-    powers = [(0, 0), (4, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
-    j0, jz2, jw1, jw2, jw3, jw4 = _mixture_moments(y2, t, powers)
-    ez2 = jz2 / j0
-    m1 = jw1 / j0
-    m2 = jw2 / j0
-    m3 = jw3 / j0
-    m4 = jw4 / j0
-    c2 = m2 - m1 * m1
-    c4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
-    # E[z (z - Ez)^2] = Var(w) - E[w (w - Ew)^2]
-    ewc2 = m3 - 2.0 * m1 * m2 + m1**3
-    vals = y2 * y2 * c4 + 6.0 * y2 * (c2 - ewc2) + 3.0 * ez2
+    ez, ez2, (c2, c3, c4) = _weight_moments(y2, t, 4)
+    vals = y2 * y2 * c4 + 6.0 * y2 * (c3 + ez * c2) + 3.0 * ez2
     return _restore(vals, shape, scalar)
 
 

@@ -5,9 +5,10 @@ coordinate mean is a scale mixture of normals. Conditional on the
 shrinkage weight z = lam^2 tau^2 / (1 + lam^2 tau^2) the law is
 Normal(z*y, z), and z itself lives on (0, 1) with density proportional
 to z^(-1/2) (tau^2 + (1 - tau^2) z)^(-1) exp(y^2 z / 2). Everything in
-this module reduces to quadrature against that weight distribution. The
-nodes, their prior weights and the damping by exp(-y^2 / 2) (so nothing
-overflows) come from the one quadrature layout of the kernels module
+this module, draws included, uses one discrete law for z: the node value
+u_j^2 with the row's normalized quadrature weight W_ij. The nodes, their
+prior weights and the damping by exp(-y^2 / 2) (so nothing overflows)
+come from the one quadrature layout of the kernels module
 (``kernels._layout``), with the batch's panel halvings ``_BATCH_SPLITS``.
 
 `PosteriorBatch` is the one posterior type; a single coordinate is a
@@ -26,27 +27,12 @@ from .kernels import (
     _as_obs,
     _damp,
     _layout,
-    _prior,
     posterior_mean,
     posterior_variance,
 )
 
 __all__ = ["PosteriorBatch"]
 _BLOCK = 128  # rows per evaluator block: ~1 MB temporaries at 1000 nodes
-
-
-def _linear_density_invert(a, b, width, rho):
-    """Offset s in [0, width] with integral of the linear density a->b equal to rho."""
-    slope = (b - a) / width
-    flat = np.abs(b - a) <= 1e-12 * np.maximum(np.maximum(a, b), 1e-300)
-    dead = (a + b) <= 0.0
-    disc = np.maximum(a * a + 2.0 * slope * rho, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lin = rho / np.where(a > 0.0, a, 1.0)
-        s = np.where(flat, lin, (np.sqrt(disc) - a) / np.where(flat, 1.0, slope))
-    # zero density at both endpoints: fall back to midpoint placement
-    s = np.where(dead, 0.5 * width, s)
-    return np.clip(s, 0.0, width)
 
 
 class PosteriorBatch:
@@ -60,7 +46,7 @@ class PosteriorBatch:
         self.Y = np.ascontiguousarray(_as_obs(Y, 1))
         self.tau = tau if isinstance(tau, GlobalScale) else GlobalScale(float(tau))
         ymax = float(np.max(np.abs(self.Y)))
-        self._edges, self._u, w = _layout(self.tau.tau, ymax, _BATCH_SPLITS)
+        self._u, w = _layout(self.tau.tau, ymax, _BATCH_SPLITS)
         # one (n, nodes) matrix, built in place: damp, weight, normalise
         W = _damp(self.Y * self.Y, self._u)
         W *= w
@@ -106,17 +92,6 @@ class PosteriorBatch:
         tt = np.broadcast_to(np.asarray(t, dtype=float), (self.n,))
         return self._evaluate(np.arange(self.n), tt[:, None])[0, :, 0]
 
-    def _bracket(self, p, anchor, edge, sign):
-        """Double each edge's distance from its anchor until sign * (F - p) > 0."""
-        idx = np.arange(self.n)
-        for _ in range(60):
-            bad = sign * (self._evaluate(idx, edge[idx, None])[0, :, 0] - p) <= 0.0
-            if not np.any(bad):
-                return edge
-            idx = idx[bad]
-            edge[idx] = anchor[idx] + 2.0 * (edge[idx] - anchor[idx])
-        raise ArithmeticError("bracket expansion failed: target beyond the quadrature CDF's reach")
-
     def _solve(self, base, signs, target, x, lo, hi):
         """Per-row root of the increasing g(x) = sum_j signs_j F(base_j + signs_j x) - target.
 
@@ -147,7 +122,7 @@ class PosteriorBatch:
             if idx.size == 0 or it == 79:
                 break
             den = 2.0 * d1 * d1 - g * d2
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):  # a non-finite step bisects
                 x_new = xi - np.where(den > 0.0, 2.0 * g * d1 / den, g / d1)
             bisect = ((x_new <= lo[idx]) | (x_new >= hi[idx]) | ~np.isfinite(x_new)
                       | (np.abs(g) > 0.5 * prev[idx]))
@@ -177,90 +152,33 @@ class PosteriorBatch:
         p = float(p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {p}")
+        # 40 beyond both 0 and y every ndtr argument lies beyond +-40, where
+        # ndtr is exactly 0 or 1, so F is 0 at lo and the node mass at hi
+        lo = np.minimum(self.Y, 0.0) - 40.0
+        hi = np.maximum(self.Y, 0.0) + 40.0
+        if np.any(self._W.sum(axis=1) - p <= 0.0):
+            raise ArithmeticError("no finite quantile reaches the target mass")
         c = self.means
-        half = np.maximum(1.0, np.sqrt(self.variances))
-        lo = self._bracket(p, c, c - half, -1.0)
-        hi = self._bracket(p, c, c + half, 1.0)
         return self._solve(np.zeros((self.n, 1)), np.ones(1), p, c.copy(), lo, hi)
-
-    @cached_property
-    def _cells(self):
-        # Panel-level masses and normalized edge densities for fast draws.
-        n_panels = len(self._edges) - 1
-        mass = self._W.reshape(self.n, n_panels, -1).sum(axis=2)
-        mass = np.maximum(mass, 0.0)
-        mass /= mass.sum(axis=1, keepdims=True)
-        cum = np.cumsum(mass, axis=1)
-        cum[:, -1] = 1.0
-        dens = _damp(self.Y * self.Y, self._edges)
-        dens *= _prior(self.tau.tau, self._edges)
-        return mass, cum, dens
-
-    def _invert_flat(self, v, rows):
-        """u-quantiles at probabilities v for the given row indices (flat arrays)."""
-        mass, cum, dens = self._cells
-        n, P = mass.shape
-        flat = (cum + np.arange(n, dtype=float)[:, None]).ravel()
-        widths = np.diff(self._edges)
-        idx = np.searchsorted(flat, v + rows, side="left")
-        cell = np.clip(idx - rows * P, 0, P - 1)
-        prev = np.where(cell > 0, cum[rows, np.maximum(cell - 1, 0)], 0.0)
-        rho = v - prev
-        m = mass[rows, cell]
-        a = dens[rows, cell]
-        b = dens[rows, cell + 1]
-        w = widths[cell]
-        trap = 0.5 * (a + b) * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(m > 0.0, trap / m, 1.0)
-        return self._edges[cell] + _linear_density_invert(a, b, w, np.clip(rho * scale, 0.0, trap))
-
-    _TABLE_LEVELS = 512
-
-    @cached_property
-    def _quantile_table(self):
-        # Dense per-row quantile lookup; one searchsorted pass amortized
-        # over every subsequent draw.
-        q = self._TABLE_LEVELS
-        levels = np.linspace(0.0, 1.0, q + 1)[1:-1]
-        T = np.empty((self.n, q + 1))
-        T[:, 0] = 0.0
-        T[:, -1] = 1.0
-        rows = np.tile(np.arange(self.n, dtype=np.int64), q - 1)
-        T[:, 1:-1] = self._invert_flat(np.repeat(levels, self.n), rows).reshape(q - 1, self.n).T
-        return T
 
     def draw_weights(self, draws, rng):
         """(draws, n) matrix of shrinkage weights z, one row per joint draw.
 
-        Draws go through the per-row quantile table with linear
-        interpolation, which is what makes million-draw credible-ball runs
-        affordable; the outermost table segments are inverted exactly.
+        Exact draws from the node law that ``cdf_rows`` integrates: each z is
+        u_j^2 with probability W_ij, independently across draws and rows. Per
+        block of _BLOCK rows, multinomial node counts are expanded into the
+        block's rows of one (n, draws) buffer and each row is shuffled in
+        place, so memory stays near the output's own bytes.
         """
         draws = int(draws)
-        out = np.empty((draws, self.n))
-        chunk = max(1, int(5_000_000 // self.n))
-        q = self._TABLE_LEVELS
-        T = self._quantile_table.ravel()
-        row_base = np.arange(self.n, dtype=np.int64) * (q + 1)
-        for start in range(0, draws, chunk):
-            stop = min(draws, start + chunk)
-            v = rng.random((stop - start, self.n))
-            pos = v * q
-            j = pos.astype(np.int64)
-            frac = pos - j
-            g = row_base[None, :] + j
-            u = T[g] * (1.0 - frac) + T[g + 1] * frac
-            # the outermost segments cover the distribution tails where
-            # linear interpolation is poor; invert those draws exactly
-            tail = (j == 0) | (j == q - 1)
-            if np.any(tail):
-                rows = np.broadcast_to(np.arange(self.n, dtype=np.int64), v.shape)
-                u[tail] = self._invert_flat(
-                    np.clip(v[tail], 2e-17, 1.0 - 1e-16), rows[tail]
-                )
-            out[start:stop] = u * u
-        return out
+        z = self._u * self._u
+        out = np.empty((self.n, draws))
+        for lo in range(0, self.n, _BLOCK):
+            blk = out[lo:lo + _BLOCK]
+            counts = rng.multinomial(draws, self._W[lo:lo + _BLOCK])
+            blk[:] = np.repeat(np.tile(z, len(blk)), counts.ravel()).reshape(blk.shape)
+            rng.permuted(blk, axis=1, out=blk)
+        return out.T
 
     def draw_matrix(self, draws, rng):
         """(draws, n) posterior draws of the coordinate means."""

@@ -7,6 +7,7 @@ package can be checked against code that shares none of its structure.
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtri
@@ -68,6 +69,31 @@ def nested_posterior_central4(y, tau):
         + 6.0 * mean**2 * n[2] / n[0]
         - 3.0 * mean**4
     )
+
+
+def mp_posterior_central(y, tau, dps=40):
+    """Posterior variance and fourth central moment of theta, in mpmath.
+
+    Raw moments E z^k are mp.quad integrals in u = sqrt(z) with breakpoints
+    doubling from tau / 16, at ``dps`` digits, so the central moments can be
+    formed naively without losing the float64 digits.
+    """
+    with mp.workdps(dps):
+        y, t = mp.mpf(y), mp.mpf(tau)
+        pts = [0] + [t * 2**j for j in range(-4, 200) if t * 2**j < 1] + [1]
+
+        def raw(k):
+            return mp.quad(lambda u: 2 * u ** (2 * k) / (t * t + (1 - t * t) * u * u)
+                           * mp.exp(-y * y * (1 - u * u) / 2), pts)
+
+        j0 = raw(0)
+        e1, e2, e3, e4 = (raw(k) / j0 for k in range(1, 5))
+        c2 = e2 - e1**2
+        c3 = e3 - 3 * e1 * e2 + 2 * e1**3
+        c4 = e4 - 4 * e1 * e3 + 6 * e1**2 * e2 - 3 * e1**4
+        var = y * y * c2 + e1
+        mu4 = y**4 * c4 + 6 * y * y * (c3 + e1 * c2) + 3 * e2
+        return float(var), float(mu4)
 
 
 def kappa_bisect(tau, lo=math.sqrt(2.0), hi=10.0, iters=200):

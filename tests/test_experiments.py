@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,20 @@ class TestRunScenario:
         assert "runtime_s" in rep.metrics["eb-mmle"]
         assert "runtime_s" not in report_to_csv(rep)
         assert "runtime_s" not in report_to_json(rep)
+
+    def test_threshold_runtime_times_the_selection(self, monkeypatch):
+        import hsuq.experiments
+
+        real = hsuq.experiments.select_by_threshold
+
+        def slow(Y, tau):
+            time.sleep(0.05)
+            return real(Y, tau)
+
+        monkeypatch.setattr(hsuq.experiments, "select_by_threshold", slow)
+        monkeypatch.setenv("HSUQ_THREADS", "1")
+        rep = run_scenario(_config(reps=1, threshold=True))
+        assert rep.metrics["threshold"]["runtime_s"] >= 0.05
 
     def test_csv_shape(self):
         rep = run_scenario(_config(reps=1))

@@ -32,6 +32,7 @@ from hsuq.kernels import (
 from _oracles import (
     kappa_bisect,
     midpoint_Ik,
+    mp_posterior_central,
     nested_posterior_central4,
     nested_posterior_moments,
     quad_H,
@@ -261,6 +262,15 @@ class TestPosteriorMoments:
     def test_variance_near_one_past_threshold(self):
         tau = 1e-3
         assert abs(posterior_variance(8.0, tau) - 1.0) <= 1.0 / zeta(tau) ** 2
+
+    @pytest.mark.parametrize("y, tau", [(1.25, 1e-6), (0.5, 1e-6), (3.0, 1e-6),
+                                        (1.25, 0.01), (8.0, 1e-6), (30.0, 0.01)])
+    def test_central_moments_against_mpmath(self, y, tau):
+        # at tiny tau and small |y| the weight z sits near 0, where moments
+        # of w = 1 - z cancel; both moments must keep full precision there
+        var, mu4 = mp_posterior_central(y, tau)
+        assert_allclose(posterior_variance(y, tau), var, rtol=1e-12)
+        assert_allclose(posterior_fourth_central(y, tau), mu4, rtol=1e-12)
 
     def test_fourth_central_at_origin_unit_scale(self):
         got = posterior_fourth_central(0.0, 1.0)

@@ -62,6 +62,21 @@ class TestShrinkWeightLaw:
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expect) < 4 * se
 
+    def test_draws_take_node_values(self):
+        # the sampler draws the node law itself: each z is some u_j^2 with W_j > 0
+        post = one(2.0, 0.1)
+        z = post.draw_weights(100_000, np.random.default_rng(7))[:, 0]
+        assert np.all(np.isin(z, (post._u ** 2)[post._W[0] > 0.0]))
+
+    def test_draws_follow_node_cdf(self):
+        # a panel law between the nodes would miss by half a node weight (~1%)
+        post = one(0.3, 0.4)
+        z = post.draw_weights(400_000, np.random.default_rng(13))[:, 0]
+        nodes, cum = post._u ** 2, np.cumsum(post._W[0])
+        for k in np.searchsorted(cum, [0.1, 0.5, 0.9]):
+            se = math.sqrt(cum[k] * (1.0 - cum[k]) / z.size)
+            assert abs(np.mean(z <= nodes[k]) - cum[k]) < 4 * se
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             one(math.inf, 0.1)
@@ -146,9 +161,22 @@ class TestRandDraw:
         assert np.array_equal(single, post.draw_matrix(1, np.random.default_rng(5)))
 
     def test_symmetric_at_origin(self):
-        th = draws1(one(0.0, 0.1), 1_000_000, np.random.default_rng(23))
-        skew = np.mean(th**3) / np.mean(th**2) ** 1.5
-        assert abs(skew) < 4 * math.sqrt(6.0 / th.size) * 3  # skewness SE inflated for heavy tails
+        post = one(0.0, 0.1)
+        th = draws1(post, 1_000_000, np.random.default_rng(23))
+        n = th.size
+        # sample skewness of a symmetric law: n Var(g1) ~ mu6/mu2^3 - 6 mu4/mu2^2 + 9,
+        # with mu2 = E z, mu4 = 3 E z^2 and mu6 = 15 E z^3 under the node law
+        W, z = post._W[0], post._u ** 2
+        ez, ez2, ez3 = (float(W @ z**k) for k in (1, 2, 3))
+        sd = math.sqrt((15.0 * ez3 / ez**3 - 18.0 * ez2 / ez**2 + 9.0) / n)
+        c = th - th.mean()
+        skew = np.mean(c**3) / np.mean(c**2) ** 1.5
+        assert abs(skew) < 4 * sd
+        # equal tails: P(theta <= -t) - P(theta >= t) within 4 binomial SEs
+        for t in (0.05, 0.2, 0.5):
+            lo, hi = np.mean(th <= -t), np.mean(th >= t)
+            se = math.sqrt((lo + hi - (lo - hi) ** 2) / n)
+            assert abs(lo - hi) < 4 * se
 
     def test_moments_match_kernels(self):
         th = draws1(one(2.0, 0.1), 1_000_000, np.random.default_rng(42))
@@ -260,9 +288,9 @@ class TestPosteriorBatch:
         se = M.std(axis=0) / math.sqrt(M.shape[0])
         assert np.all(np.abs(M.mean(axis=0) - self.batch.means) < 4.5 * se)
 
-    def test_table_path_matches_cdf(self):
-        # draws through the interpolated quantile table must be
-        # statistically indistinguishable from the exact CDF
+    def test_draws_match_cdf(self):
+        # joint draws must be statistically indistinguishable from the
+        # law whose CDF cdf_rows integrates
         M = self.batch.draw_matrix(1_000_000, np.random.default_rng(9))
         for i in [0, 4, 8, 9]:
             post = one(self.Y[i], 0.11)
@@ -283,6 +311,17 @@ class TestPosteriorBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * batch._W.nbytes
+
+    def test_draws_hold_one_output_matrix(self):
+        # node counts are expanded and shuffled in place, block by block
+        batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
+        tracemalloc.start()
+        try:
+            z = batch.draw_weights(2000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * z.nbytes
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -335,6 +374,7 @@ class TestSolver:
         for batch in self.batches():
             for p in (alpha / 2.0, 1.0 - alpha / 2.0):
                 assert_allclose(batch.quantile_rows(p), newton_quantile(batch, p), atol=1e-7)
+                assert batch.diagnostics["capped"] == batch.diagnostics["at_resolution"] == 0
 
     def test_extreme_level_reaches_target_mass(self):
         # at alpha = 1e-4 two valid roots can differ by 2e-5, so check the

@@ -1,4 +1,4 @@
-"""Structure guards: the quadrature layout is decided in kernels.py alone."""
+"""Structure guards: the quadrature layout and its prior weights live in kernels.py alone."""
 
 import ast
 import inspect
@@ -7,7 +7,7 @@ from pathlib import Path
 import hsuq
 from hsuq.posterior import PosteriorBatch
 
-LAYOUT_INTERNALS = {"_panel_edges", "_split_edges", "_panel_nodes", "_gauss_rule"}
+LAYOUT_INTERNALS = {"_panel_edges", "_split_edges", "_panel_nodes", "_gauss_rule", "_prior"}
 
 
 def _names(tree):
@@ -31,3 +31,9 @@ def test_only_kernels_knows_the_panel_layout():
 
 def test_posterior_batch_takes_no_layout_argument():
     assert "splits" not in inspect.signature(PosteriorBatch).parameters
+
+
+def test_posterior_batch_has_one_sampler():
+    # draws come from the node law itself, not from a second panel law
+    for name in ("_cells", "_quantile_table", "_invert_flat"):
+        assert not hasattr(PosteriorBatch, name)
