@@ -83,7 +83,8 @@ HB_METHODS = {
     "hb-tcauchy": HyperPrior.truncated_half_cauchy,
     "hb-tuniform": HyperPrior.truncated_uniform,
 }
-EB_METHODS = ("eb-mmle", "eb-simple", "normal-approx")
+# EB method -> source of its plug-in scale; fixed:<tau> names its own
+EB_METHODS = {"eb-mmle": "mmle", "eb-simple": "simple", "normal-approx": "mmle"}
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,25 @@ class UnboundedScale:
 class FixedValue:
     A: float
 
+    @property
+    def label(self):
+        return f"fixed:{self.A:g}"
+
+    def draw(self, rng, n, p):
+        return self.A
+
 
 @dataclass(frozen=True)
 class NormalAround:
     A: float
     sd: float = 1.0
+
+    @property
+    def label(self):
+        return f"normal:{self.A:g}:{self.sd:g}"
+
+    def draw(self, rng, n, p):
+        return rng.normal(self.A, self.sd, p)
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,10 @@ class ThreeGroup:
     """Signals split into small (1/n), medium, and large groups."""
 
     counts: tuple
+
+    @property
+    def label(self):
+        return "three_group:" + ",".join(str(c) for c in self.counts)
 
     def values(self, n, p):
         tn = SparsityRate(n, p).tau_n
@@ -124,26 +143,53 @@ class ThreeGroup:
             1.5 * math.sqrt(2.0 * math.log(n)),
         )
 
+    def draw(self, rng, n, p):
+        return np.repeat(self.values(n, p), self.counts)
+
 
 @dataclass(frozen=True)
 class FromDistribution:
     name: str
 
-    _PARAMS = {"laplace": 3.0, "gamma": 2.0, "cauchy": 5.0}
+    # name -> draw of p signals
+    DRAWS = {
+        "laplace": lambda rng, p: rng.laplace(0.0, 3.0, p),
+        "gamma": lambda rng, p: rng.gamma(2.0, 2.0, p),
+        "cauchy": lambda rng, p: 5.0 * rng.standard_cauchy(p),
+    }
 
     def __post_init__(self):
-        if self.name not in self._PARAMS:
+        if self.name not in self.DRAWS:
             raise ValueError(f"unknown signal distribution {self.name!r}")
 
+    @property
+    def label(self):
+        return self.name
 
-def _signal_label(sig):
-    if isinstance(sig, FixedValue):
-        return f"fixed:{sig.A:g}"
-    if isinstance(sig, NormalAround):
-        return f"normal:{sig.A:g}:{sig.sd:g}"
-    if isinstance(sig, ThreeGroup):
-        return "three_group:" + ",".join(str(c) for c in sig.counts)
-    return sig.name
+    def draw(self, rng, n, p):
+        return self.DRAWS[self.name](rng, p)
+
+
+def _eb_source(method):
+    """Scale source of an EB method: "mmle", "simple", or the tau of fixed:<tau>."""
+    source = EB_METHODS.get(method) or method.startswith("fixed:") and method[6:]
+    if not source:
+        raise ValueError(f"unknown method {method!r}")
+    if method not in EB_METHODS:
+        try:
+            GlobalScale(float(source))
+        except ValueError as exc:
+            raise ValueError(f"method {method!r}: {exc}") from None
+    return source
+
+
+def _scale(Y, source, fit=None):
+    """Global scale from a source name; ``fit`` is the MMLE of Y when already fitted."""
+    if source == "mmle":
+        return fit or mmle(Y).value
+    if source == "simple":
+        return simple_estimator(Y).value
+    return GlobalScale(float(source))
 
 
 @dataclass(frozen=True)
@@ -179,8 +225,8 @@ class ScenarioConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         for m in self.methods:
-            if m not in EB_METHODS and m not in HB_METHODS and not m.startswith("fixed:"):
-                raise ValueError(f"unknown method {m!r}")
+            if m not in HB_METHODS:
+                _eb_source(m)
         if not isinstance(self.signal, (FixedValue, NormalAround, ThreeGroup,
                                         FromDistribution)):
             raise ValueError(f"unrecognized signal spec {self.signal!r}")
@@ -196,28 +242,10 @@ def generate(config, rep_index):
     (config.seed, rep_index).
     """
     rng = np.random.default_rng([config.seed, rep_index])
-    n, p = config.n, config.p
-    theta = np.zeros(n)
-    sig = config.signal
-    if p > 0:
-        if isinstance(sig, FixedValue):
-            theta[:p] = sig.A
-        elif isinstance(sig, NormalAround):
-            theta[:p] = rng.normal(sig.A, sig.sd, p)
-        elif isinstance(sig, ThreeGroup):
-            cs, cm, cl = sig.counts
-            small, medium, large = sig.values(n, p)
-            theta[:cs] = small
-            theta[cs:cs + cm] = medium
-            theta[cs + cm:p] = large
-        elif isinstance(sig, FromDistribution):
-            if sig.name == "laplace":
-                theta[:p] = rng.laplace(0.0, 3.0, p)
-            elif sig.name == "gamma":
-                theta[:p] = rng.gamma(2.0, 2.0, p)
-            else:
-                theta[:p] = 5.0 * rng.standard_cauchy(p)
-    return theta + rng.standard_normal(n), theta
+    theta = np.zeros(config.n)
+    if config.p > 0:
+        theta[:config.p] = config.signal.draw(rng, config.n, config.p)
+    return theta + rng.standard_normal(config.n), theta
 
 
 @dataclass(frozen=True)
@@ -248,14 +276,7 @@ def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
         scale = UnboundedScale(tau_bar) if method == "hb-cauchy" else GlobalScale(tau_bar)
         ball = hb_ball(chain, alpha, L=L) if want_ball else None
         return MethodResult(method=method, intervals=intervals, tau=scale, ball=ball)
-    if method in ("eb-mmle", "normal-approx"):
-        tau = _mmle or mmle(Y).value
-    elif method == "eb-simple":
-        tau = simple_estimator(Y).value
-    elif method.startswith("fixed:"):
-        tau = GlobalScale(float(method.split(":", 1)[1]))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    tau = _scale(Y, _eb_source(method), _mmle)
     if method == "normal-approx":
         z = 1.96 if alpha == 0.05 else float(ndtri(1.0 - alpha / 2.0))
         intervals = _intervals(posterior_mean(Y, tau.tau),
@@ -271,15 +292,15 @@ def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
 
 @dataclass(frozen=True)
 class RepReport:
-    """Metrics of one method on one replication. None marks a metric
-    with an empty denominator (no zero or no nonzero coordinates).
+    """Metrics of one method on one replication. None marks a metric the
+    row lacks (no intervals, no ball) or whose denominator was empty.
     """
 
     method: str
-    coverage_all: float
+    coverage_all: float | None
     coverage_nonzero: float | None
     coverage_zero: float | None
-    length_all: float
+    length_all: float | None
     length_nonzero: float | None
     length_zero: float | None
     tau: float
@@ -291,74 +312,40 @@ class RepReport:
     ball_covers: bool | None = None
 
 
-def _discoveries(sel, theta0, regions):
-    """FDR, and true discoveries and nonzero counts by region label value."""
-    rep = discovery_report(sel, theta0, regions)
-    hits = {lab.value: int(c) for lab, c in rep.true_discoveries.items()}
-    totals = {lab.value: 0 for lab in RegionLabel}
-    for i in np.flatnonzero(theta0 != 0.0):
-        totals[regions[i].value] += 1
-    return rep.fdr, hits, totals
-
-
-def _score_intervals(method, intervals, theta0, regions, tau_value, runtime_s,
-                     ball=None):
-    covered = covers(intervals, theta0)
-    lengths = 2.0 * intervals.half_width
+def _report(method, sel, theta0, regions, tau, runtime_s, intervals=None, ball=None):
+    """Score one selection (and the intervals and ball behind it) against the truth."""
     nonzero = theta0 != 0.0
-    sel = select_by_interval(intervals, method="hb" if method in HB_METHODS else "eb")
-    fdr, hits, totals = _discoveries(sel, theta0, regions)
 
-    def _mean(x, mask):
-        return float(np.mean(x[mask])) if mask.any() else None
+    def _means(x):
+        # over all, nonzero, and zero coordinates
+        return (float(x.mean()), *(float(np.mean(x[mask])) if mask.any() else None
+                                   for mask in (nonzero, ~nonzero)))
 
-    ball_r = ball_cov = None
-    if ball is not None:
-        ball_r = float(ball.radius)
-        ball_cov = bool(ball.contains(theta0))
+    coverage = length = (None, None, None)
+    if intervals is not None:
+        coverage = _means(covers(intervals, theta0))
+        length = _means(2.0 * intervals.half_width)
+    rep = discovery_report(sel, theta0, regions)
+    totals = {lab.value: 0 for lab in RegionLabel}
+    for i in np.flatnonzero(nonzero):
+        totals[regions[i].value] += 1
     return RepReport(
-        method=method,
-        coverage_all=float(covered.mean()),
-        coverage_nonzero=_mean(covered, nonzero),
-        coverage_zero=_mean(covered, ~nonzero),
-        length_all=float(lengths.mean()),
-        length_nonzero=_mean(lengths, nonzero),
-        length_zero=_mean(lengths, ~nonzero),
-        tau=float(tau_value),
-        fdr=fdr,
-        detect_hits=hits,
-        detect_totals=totals,
-        runtime_s=runtime_s,
-        ball_radius=ball_r,
-        ball_covers=ball_cov,
+        method, *coverage, *length, tau=float(tau), fdr=rep.fdr,
+        detect_hits={lab.value: int(c) for lab, c in rep.true_discoveries.items()},
+        detect_totals=totals, runtime_s=runtime_s,
+        ball_radius=None if ball is None else float(ball.radius),
+        ball_covers=None if ball is None else bool(ball.contains(theta0)),
     )
-
-
-def _threshold_report(Y, theta0, regions, tau):
-    start = time.perf_counter()
-    sel = select_by_threshold(Y, tau)
-    runtime_s = time.perf_counter() - start
-    fdr, hits, totals = _discoveries(sel, theta0, regions)
-    return RepReport(
-        method="threshold", coverage_all=math.nan, coverage_nonzero=None,
-        coverage_zero=None, length_all=math.nan, length_nonzero=None,
-        length_zero=None, tau=float(tau.tau), fdr=fdr,
-        detect_hits=hits, detect_totals=totals, runtime_s=runtime_s,
-    )
-
-
-def _regions_for(theta0, n, p):
-    if 0 < p < n:
-        return classify_regions_adaptive(theta0, n, p)
-    return [RegionLabel.UNCLASSIFIED] * n
 
 
 def _run_one_rep(config, rep_index):
     Y, theta0 = generate(config, rep_index)
-    regions = _regions_for(theta0, config.n, config.p)
+    n, p = config.n, config.p
+    regions = (classify_regions_adaptive(theta0, n, p) if 0 < p < n
+               else [RegionLabel.UNCLASSIFIED] * n)
     reports = []
     fit = None
-    if config.threshold or {"eb-mmle", "normal-approx"} & set(config.methods):
+    if config.threshold or "mmle" in (EB_METHODS.get(m) for m in config.methods):
         fit = mmle(Y).value
     for mi, method in enumerate(config.methods):
         hb_seed = int(np.random.SeedSequence([config.seed, rep_index, 1000 + mi]).generate_state(1)[0])
@@ -369,18 +356,33 @@ def _run_one_rep(config, rep_index):
             want_ball=config.ball, ball_draws=config.ball_draws, _mmle=fit,
         )
         elapsed = time.perf_counter() - start
-        reports.append(_score_intervals(method, res.intervals, theta0, regions,
-                                        res.tau.tau, elapsed, ball=res.ball))
+        sel = select_by_interval(res.intervals, method="hb" if method in HB_METHODS else "eb")
+        reports.append(_report(method, sel, theta0, regions, res.tau.tau, elapsed,
+                               intervals=res.intervals, ball=res.ball))
     if config.threshold:
-        reports.append(_threshold_report(Y, theta0, regions, fit))
+        start = time.perf_counter()
+        sel = select_by_threshold(Y, fit)
+        reports.append(_report("threshold", sel, theta0, regions, fit.tau,
+                               time.perf_counter() - start))
     return reports
 
 
 def _fsum_mean(values):
-    vals = [v for v in values if v is not None and not (isinstance(v, float) and math.isnan(v))]
-    if not vals:
-        return None
-    return math.fsum(vals) / len(vals)
+    vals = [v for v in values if v is not None]
+    return math.fsum(vals) / len(vals) if vals else None
+
+
+# report metric -> RepReport field it averages, in report order
+_METRICS = (
+    ("coverage_all", "coverage_all"), ("coverage_nonzero", "coverage_nonzero"),
+    ("coverage_zero", "coverage_zero"), ("length_all", "length_all"),
+    ("length_nonzero", "length_nonzero"), ("length_zero", "length_zero"),
+    ("mean_tau", "tau"), ("fdr", "fdr"), ("runtime_s", "runtime_s"),
+    ("ball_coverage", "ball_covers"), ("ball_radius", "ball_radius"),
+)
+# detection-rate metric -> region labels pooled into it
+_DETECT = {"small": ("small",), "medium": ("medium",), "large": ("large",),
+           "unclassified": ("unclassified",), "small_medium": ("small", "medium")}
 
 
 def aggregate(reports):
@@ -396,35 +398,12 @@ def aggregate(reports):
     out = {}
     for method in dict.fromkeys(r.method for r in reports):
         rs = [r for r in reports if r.method == method]
-        m = {
-            "coverage_all": _fsum_mean([r.coverage_all for r in rs]),
-            "coverage_nonzero": _fsum_mean([r.coverage_nonzero for r in rs]),
-            "coverage_zero": _fsum_mean([r.coverage_zero for r in rs]),
-            "length_all": _fsum_mean([r.length_all for r in rs]),
-            "length_nonzero": _fsum_mean([r.length_nonzero for r in rs]),
-            "length_zero": _fsum_mean([r.length_zero for r in rs]),
-            "mean_tau": _fsum_mean([r.tau for r in rs]),
-            "fdr": _fsum_mean([r.fdr for r in rs]),
-            "runtime_s": _fsum_mean([r.runtime_s for r in rs]),
-            "ball_coverage": _fsum_mean(
-                [None if r.ball_covers is None else float(r.ball_covers) for r in rs]),
-            "ball_radius": _fsum_mean([r.ball_radius for r in rs]),
-        }
-        for label in ("small", "medium", "large", "unclassified"):
-            fracs = [
-                r.detect_hits[label] / r.detect_totals[label]
-                for r in rs
-                if r.detect_totals and r.detect_totals.get(label, 0) > 0
-            ]
-            m[f"detect_{label}"] = _fsum_mean(fracs)
-        pooled = [
-            (r.detect_hits["small"] + r.detect_hits["medium"])
-            / (r.detect_totals["small"] + r.detect_totals["medium"])
-            for r in rs
-            if r.detect_totals
-            and r.detect_totals.get("small", 0) + r.detect_totals.get("medium", 0) > 0
-        ]
-        m["detect_small_medium"] = _fsum_mean(pooled)
+        m = {metric: _fsum_mean(getattr(r, name) for r in rs) for metric, name in _METRICS}
+        for label, pooled in _DETECT.items():
+            m[f"detect_{label}"] = _fsum_mean(
+                sum(r.detect_hits[k] for k in pooled) / total for r in rs
+                if (total := sum(r.detect_totals.get(k, 0) for k in pooled)) > 0
+            )
         out[method] = {k: v for k, v in m.items() if v is not None}
     return out
 
@@ -455,19 +434,21 @@ def run_scenario(config):
         "name": config.name,
         "n": config.n,
         "p": config.p,
-        "signal": _signal_label(config.signal),
+        "signal": config.signal.label,
         "reps": config.reps,
         "seed": config.seed,
         "alpha": config.alpha,
         "L": config.blowup_L,
         "methods": list(config.methods),
     }
-    if isinstance(config.signal, FromDistribution) and config.signal.name == "gamma":
+    if config.signal == FromDistribution("gamma"):
         scenario["note"] = "gamma signals drawn positive, not sign-symmetrized"
     return RunReport(scenario=scenario, metrics=aggregate(per_rep))
 
 
-_EXCLUDED_FROM_FILES = {"runtime_s"}
+def _file_metrics(metrics):
+    """(metric, text) pairs written to files: sorted, runtimes excluded, 12 digits."""
+    return [(k, f"{v:.12g}") for k, v in sorted(metrics.items()) if k != "runtime_s"]
 
 
 def report_to_csv(report):
@@ -479,21 +460,14 @@ def report_to_csv(report):
     writer.writerow(["scenario", "method", "metric", "value"])
     name = report.scenario["name"]
     for method in sorted(report.metrics):
-        for metric in sorted(report.metrics[method]):
-            if metric in _EXCLUDED_FROM_FILES:
-                continue
-            writer.writerow([name, method, metric,
-                             f"{report.metrics[method][metric]:.12g}"])
+        for metric, text in _file_metrics(report.metrics[method]):
+            writer.writerow([name, method, metric, text])
     return buf.getvalue()
 
 
 def report_to_json(report):
     metrics = {
-        method: {
-            metric: float(f"{value:.12g}")
-            for metric, value in sorted(md.items())
-            if metric not in _EXCLUDED_FROM_FILES
-        }
+        method: {metric: float(text) for metric, text in _file_metrics(md)}
         for method, md in report.metrics.items()
     }
     payload = {"scenario": report.scenario, "metrics": metrics}
@@ -519,17 +493,15 @@ def parse_config(text):
 
 def _parse_signal(text):
     text = text.strip().lower()
-    if text in FromDistribution._PARAMS:
+    if text in FromDistribution.DRAWS:
         return FromDistribution(text)
     if text.startswith("fixed:"):
         return FixedValue(float(text.split(":", 1)[1]))
     if text.startswith("normal:"):
         parts = text.split(":")[1:]
-        if len(parts) == 1:
-            return NormalAround(float(parts[0]))
-        if len(parts) == 2:
-            return NormalAround(float(parts[0]), float(parts[1]))
-        raise ValueError(f"normal signal takes A[:sd], got {text!r}")
+        if len(parts) > 2:
+            raise ValueError(f"normal signal takes A[:sd], got {text!r}")
+        return NormalAround(*(float(x) for x in parts))
     if text.startswith("three_group:"):
         counts = tuple(int(c) for c in text.split(":", 1)[1].split(","))
         if len(counts) != 3 or any(c < 0 for c in counts):
@@ -862,14 +834,6 @@ def _read_observations(path):
     return np.array(values)
 
 
-def _scale_from_arg(Y, text):
-    if text == "mmle":
-        return mmle(Y).value
-    if text == "simple":
-        return simple_estimator(Y).value
-    return GlobalScale(float(text))
-
-
 def _print_interval_csv(Y, intervals):
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["index", "y", "center", "half_width", "lower", "upper"])
@@ -890,7 +854,7 @@ def _cmd_fit_tau(args):
 
 def _cmd_intervals(args):
     Y = _read_observations(args.file)
-    tau = _scale_from_arg(Y, args.tau)
+    tau = _scale(Y, args.tau)
     _print_interval_csv(Y, interval_batch(Y, tau, alpha=args.alpha, L=args.L))
     print(f"# tau {tau.tau:.12g}")
     return 0
@@ -898,7 +862,7 @@ def _cmd_intervals(args):
 
 def _cmd_ball(args):
     Y = _read_observations(args.file)
-    tau = _scale_from_arg(Y, args.tau)
+    tau = _scale(Y, args.tau)
     ball = credible_ball(Y, tau, alpha=args.alpha, L=args.L, draws=args.draws,
                          rng=np.random.default_rng(args.seed))
     print(f"radius {ball.radius:.12g}")
@@ -922,7 +886,7 @@ def _cmd_hb(args):
 
 def _cmd_select(args):
     Y = _read_observations(args.file)
-    tau = _scale_from_arg(Y, args.tau)
+    tau = _scale(Y, args.tau)
     if args.rule == "interval":
         sel = select_by_interval(interval_batch(Y, tau, alpha=args.alpha, L=args.L))
     else:

@@ -183,4 +183,9 @@ class PosteriorBatch:
     def draw_matrix(self, draws, rng):
         """(draws, n) posterior draws of the coordinate means."""
         z = self.draw_weights(draws, rng)
-        return z * self.Y[None, :] + np.sqrt(z) * rng.standard_normal(z.shape)
+        # in place on z: z * Y + sqrt(z) * N with one temporary
+        noise = np.sqrt(z)
+        noise *= rng.standard_normal(z.shape)
+        z *= self.Y
+        z += noise
+        return z

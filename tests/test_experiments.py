@@ -106,6 +106,27 @@ class TestGenerate:
         assert np.array_equal(t1, t2)
         assert len(np.unique(t1[:6])) == 6
 
+    @pytest.mark.parametrize("signal, draw", [
+        (FixedValue(4.0), lambda rng, n, p: np.full(p, 4.0)),
+        (NormalAround(3.0, 0.5), lambda rng, n, p: rng.normal(3.0, 0.5, p)),
+        (ThreeGroup((1, 2, 3)), lambda rng, n, p: np.array(
+            [1.0 / n]
+            + [0.5 * math.sqrt(2.0 * math.log(1.0 / SparsityRate(n, p).tau_n))] * 2
+            + [1.5 * math.sqrt(2.0 * math.log(n))] * 3)),
+        (FromDistribution("laplace"), lambda rng, n, p: rng.laplace(0.0, 3.0, p)),
+        (FromDistribution("gamma"), lambda rng, n, p: rng.gamma(2.0, 2.0, p)),
+        (FromDistribution("cauchy"), lambda rng, n, p: 5.0 * rng.standard_cauchy(p)),
+    ], ids=["fixed", "normal", "three_group", "laplace", "gamma", "cauchy"])
+    def test_every_family_draws_signals_then_noise(self, signal, draw):
+        cfg = _config(n=40, p=6, signal=signal)
+        for rep in (0, 3):
+            Y, theta = generate(cfg, rep)
+            rng = np.random.default_rng([cfg.seed, rep])
+            want = np.zeros(40)
+            want[:6] = draw(rng, 40, 6)
+            assert np.array_equal(theta, want)
+            assert np.array_equal(Y, want + rng.standard_normal(40))
+
 
 class TestScenarioConfig:
     def test_three_group_counts_must_sum_to_p(self):
@@ -127,6 +148,18 @@ class TestScenarioConfig:
     def test_fixed_method_string_accepted(self):
         cfg = _config(methods=("fixed:0.25",))
         assert cfg.methods == ("fixed:0.25",)
+
+    @pytest.mark.parametrize("method, reason", [
+        ("fixed:abc", "could not convert string to float"),
+        ("fixed:2", "tau must lie in"),
+    ])
+    def test_bad_fixed_scale_rejected_when_built(self, method, reason):
+        # before any replication runs, and naming the method
+        with pytest.raises(ValueError, match=f"method '{method}'.*{reason}"):
+            _config(methods=("eb-mmle", method))
+        text = f"n = 50\np = 2\nsignal = fixed:3\nreps = 1\nseed = 0\nmethods = {method}"
+        with pytest.raises(ValueError, match=f"method '{method}'"):
+            build_scenario(parse_config(text))
 
 
 class TestRunMethod:
@@ -240,6 +273,20 @@ class TestRunScenario:
         # the threshold row carries selection metrics only
         assert "coverage_all" not in rep.metrics["threshold"]
         assert "fdr" in rep.metrics["threshold"]
+
+    def test_metric_keys_in_report_order(self):
+        cfg = _config(n=40, p=4, signal=ThreeGroup((1, 1, 2)),
+                      methods=("eb-mmle", "fixed:0.1", "hb-tcauchy"), threshold=True,
+                      ball=True, ball_draws=1000, hb_iters=200, hb_burn_in=100)
+        rep = run_scenario(cfg)
+        detect = ["detect_small", "detect_medium", "detect_large", "detect_small_medium"]
+        interval = ["coverage_all", "coverage_nonzero", "coverage_zero", "length_all",
+                    "length_nonzero", "length_zero", "mean_tau", "fdr", "runtime_s",
+                    "ball_coverage", "ball_radius"] + detect
+        assert list(rep.metrics) == ["eb-mmle", "fixed:0.1", "hb-tcauchy", "threshold"]
+        for method in ("eb-mmle", "fixed:0.1", "hb-tcauchy"):
+            assert list(rep.metrics[method]) == interval
+        assert list(rep.metrics["threshold"]) == ["mean_tau", "fdr", "runtime_s"] + detect
 
     def test_serialization_deterministic(self):
         cfg = _config()

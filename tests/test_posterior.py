@@ -323,6 +323,27 @@ class TestPosteriorBatch:
             tracemalloc.stop()
         assert peak <= 1.25 * z.nbytes
 
+    def test_draw_matrix_holds_three_output_matrices(self):
+        # the weights, the noise and the normal draws; z * Y + sqrt(z) * N
+        # is formed in place on the weights
+        batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
+        tracemalloc.start()
+        try:
+            M = batch.draw_matrix(2000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * M.nbytes
+
+    def test_draw_matrix_is_weighted_data_plus_scaled_noise(self):
+        batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
+        rng = np.random.default_rng(2)
+        z = batch.draw_weights(1000, rng)
+        want = z * batch.Y[None, :] + np.sqrt(z) * rng.standard_normal(z.shape)
+        got = batch.draw_matrix(1000, np.random.default_rng(2))
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             PosteriorBatch(np.array([]), 0.1)

@@ -1,13 +1,16 @@
-"""Structure guards: the quadrature layout and its prior weights live in kernels.py alone."""
+"""Structure guards: the quadrature layout and its prior weights live in
+kernels.py alone, and each replication-harness decision is made in one place."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import hsuq
+from hsuq import experiments
 from hsuq.posterior import PosteriorBatch
 
 LAYOUT_INTERNALS = {"_panel_edges", "_split_edges", "_panel_nodes", "_gauss_rule", "_prior"}
+SIGNAL_CLASSES = {"FixedValue", "NormalAround", "ThreeGroup", "FromDistribution"}
 
 
 def _names(tree):
@@ -37,3 +40,24 @@ def test_posterior_batch_has_one_sampler():
     # draws come from the node law itself, not from a second panel law
     for name in ("_cells", "_quantile_table", "_invert_flat"):
         assert not hasattr(PosteriorBatch, name)
+
+
+def _isinstance_sites(node, scope=""):
+    # (enclosing qualified name, class names) of every isinstance call
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _isinstance_sites(child, f"{scope}{child.name}.")
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"):
+            yield scope.rstrip("."), set(_names(child.args[1]))
+        yield from _isinstance_sites(child, scope)
+
+
+def test_signal_specs_draw_and_label_themselves():
+    # only config validation asks which signal class it holds
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    scopes = {scope for scope, names in _isinstance_sites(tree) if names & SIGNAL_CLASSES}
+    assert scopes == {"ScenarioConfig.__post_init__"}
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint({"_signal_label", "_scale_from_arg", "_threshold_report"})
