@@ -227,6 +227,13 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in HB_METHODS:
                 _eb_source(m)
+        if any(m in HB_METHODS for m in self.methods):
+            if self.hb_burn_in < 0:
+                raise ValueError(f"hb_burn_in must be >= 0, got {self.hb_burn_in}")
+            if self.hb_iters < 100:
+                raise ValueError(f"hb_iters (kept draws) must be >= 100, got {self.hb_iters}")
+        if self.ball and self.ball_draws < 1000 and not set(self.methods) <= HB_METHODS.keys():
+            raise ValueError(f"ball_draws must be >= 1000 for an EB ball, got {self.ball_draws}")
         if not isinstance(self.signal, (FixedValue, NormalAround, ThreeGroup,
                                         FromDistribution)):
             raise ValueError(f"unrecognized signal spec {self.signal!r}")

@@ -16,6 +16,9 @@ Conditional laws used by the sweep, writing w_i = lambda_i^2 tau^2 /
     tau^2     ~ InvGamma((n+1)/2, 1/xi + S)        half-Cauchy hyperprior
     xi        ~ InvGamma(1, 1 + 1/tau^2)
 
+Every shape-1 inverse gamma (lambda^2, nu, xi) is drawn as b / Exp(1)
+from rng.standard_exponential: numpy's gamma(1, 1/b) draws the same
+stream, bit for bit, but broadcasts an array scale element by element.
 Truncated hyperpriors restrict the tau^2 draw to [1/n^2, 1] by inverse
 CDF. The flat hyperprior on [1/n, 1] is not a half-Cauchy, so its exact
 conditional is InvGamma((n-1)/2, S) truncated to the same range, with
@@ -30,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc, gammainccinv
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from .credible import CredibleBall, _intervals
 from .kernels import SparsityRate, _as_obs
@@ -125,10 +128,12 @@ class GibbsState:
     xi: float
 
     def __post_init__(self):
-        if np.any(self.lambda2 <= 0.0) or np.any(self.nu <= 0.0):
-            raise ValueError("local scales and auxiliaries must be positive")
-        if not self.tau2 > 0.0 or not self.xi > 0.0:
-            raise ValueError("tau2 and xi must be positive")
+        # min/max comparisons are False on NaN, so NaN fails too
+        for x in (self.lambda2, self.nu):
+            if not (x.min() > 0.0 and x.max() < math.inf):
+                raise ValueError("local scales and auxiliaries must be positive and finite")
+        if not (0.0 < self.tau2 < math.inf and 0.0 < self.xi < math.inf):
+            raise ValueError("tau2 and xi must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -179,25 +184,43 @@ def _invgamma(rng, shape, scale):
     return 1.0 / rng.gamma(shape, 1.0 / scale)
 
 
+def _invexp(rng, scale, size=None):
+    """InvGamma(1, scale), bit-identical to _invgamma(rng, 1.0, scale).
+
+    numpy's shape-1 gamma is the ziggurat exponential times the scale,
+    so this draws the same stream without gamma's per-element
+    broadcasting of an array scale.
+    """
+    return 1.0 / (rng.standard_exponential(size) * (1.0 / scale))
+
+
 def _trunc_invgamma(rng, shape, scale, lo, hi):
     """Inverse-CDF draw from InvGamma(shape, scale) restricted to [lo, hi].
 
     The CDF at x is the regularized upper gamma function Q(shape, scale/x).
-    When the untruncated mass inside [lo, hi] underflows, the draw is
-    clamped to the boundary nearest the bulk and a warning is logged.
+    When the bulk lies below lo, Q rounds to 1 at both ends although the
+    mass between them is representable, so the span and the inversion
+    use the lower function P = 1 - Q, which falls as x grows. Only when
+    that span underflows too is the draw clamped to the boundary nearest
+    the bulk, with a warning.
     """
     F_lo = float(gammaincc(shape, scale / lo))
     F_hi = float(gammaincc(shape, scale / hi))
     span = F_hi - F_lo
-    if not span > 0.0:
-        x = lo if F_lo >= 0.5 else hi
-        logger.warning(
-            "truncated inverse-gamma mass underflowed (shape=%.3g, scale=%.3g); "
-            "clamping draw to %.3g", shape, scale, x,
-        )
-        return x
-    v = F_lo + rng.random() * span
-    t = float(gammainccinv(shape, v))
+    if span > 0.0:
+        t = float(gammainccinv(shape, F_lo + rng.random() * span))
+    else:
+        P_lo = float(gammainc(shape, scale / lo))
+        P_hi = float(gammainc(shape, scale / hi))
+        span = P_lo - P_hi
+        if not span > 0.0:
+            x = lo if F_lo >= 0.5 else hi
+            logger.warning(
+                "truncated inverse-gamma mass underflowed (shape=%.3g, scale=%.3g); "
+                "clamping draw to %.3g", shape, scale, x,
+            )
+            return x
+        t = float(gammaincinv(shape, P_hi + rng.random() * span))
     if t <= 0.0 or not math.isfinite(t):
         return hi if t <= 0.0 else lo
     return min(max(scale / t, lo), hi)
@@ -211,17 +234,17 @@ def gibbs_step(state, Y, prior, rng):
     s2 = state.lambda2 * tau2
     w = s2 / (1.0 + s2)
     theta = w * Y + np.sqrt(w) * rng.standard_normal(n)
-    lam2 = _invgamma(rng, 1.0, 1.0 / state.nu + theta * theta / (2.0 * tau2))
-    nu = _invgamma(rng, 1.0, 1.0 + 1.0 / lam2)
+    lam2 = _invexp(rng, 1.0 / state.nu + theta * theta / (2.0 * tau2), n)
+    nu = _invexp(rng, 1.0 + 1.0 / lam2, n)
     xi = state.xi
     if prior.kind is not HyperPriorKind.POINT_MASS:
         S = float(np.sum(theta * theta / (2.0 * lam2)))
         if prior.kind is HyperPriorKind.HALF_CAUCHY:
             tau2 = _invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S)
-            xi = _invgamma(rng, 1.0, 1.0 + 1.0 / tau2)
+            xi = _invexp(rng, 1.0 + 1.0 / tau2)
         elif prior.kind is HyperPriorKind.TRUNCATED_HALF_CAUCHY:
             tau2 = _trunc_invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S, 1.0 / n**2, 1.0)
-            xi = _invgamma(rng, 1.0, 1.0 + 1.0 / tau2)
+            xi = _invexp(rng, 1.0 + 1.0 / tau2)
         else:
             # flat hyperprior: exact conditional, no auxiliary
             tau2 = _trunc_invgamma(rng, 0.5 * (n - 1), S, 1.0 / n**2, 1.0)
@@ -290,8 +313,7 @@ def hb_marginal_intervals(chain, alpha, L=1.0, method="quantile"):
         raise ValueError(f"blow-up factor must be positive, got {L}")
     T = chain.thetas
     if method == "quantile":
-        lo = np.quantile(T, alpha / 2.0, axis=0)
-        hi = np.quantile(T, 1.0 - alpha / 2.0, axis=0)
+        lo, hi = np.quantile(T, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
         centers = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) * L
     elif method == "centered":

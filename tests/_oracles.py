@@ -280,3 +280,40 @@ def newton_quantile(batch, p):
     lo = _bracket_edge(gap, c, c - half, -1.0)
     hi = _bracket_edge(gap, c, c + half, 1.0)
     return _newton_solve(batch, gap, lambda idx, q: _batch_pdf(batch, idx, q), c.copy(), lo, hi)
+
+
+def _gamma_invgamma(rng, shape, scale):
+    return 1.0 / rng.gamma(shape, 1.0 / scale)
+
+
+def gamma_gibbs_step(state, Y, prior, rng):
+    """One Gibbs sweep with every inverse gamma drawn by ``rng.gamma``.
+
+    The sweep as it stood before ``hierarchical.gibbs_step`` drew its
+    shape-1 inverse gammas as reciprocal exponentials, copied line for
+    line; run_chain driven by it must give the same chain bit for bit.
+    """
+    from hsuq.hierarchical import GibbsState, HyperPriorKind, _trunc_invgamma
+
+    _invgamma = _gamma_invgamma
+    Y = np.asarray(Y, dtype=float)
+    n = Y.size
+    tau2 = state.tau2
+    s2 = state.lambda2 * tau2
+    w = s2 / (1.0 + s2)
+    theta = w * Y + np.sqrt(w) * rng.standard_normal(n)
+    lam2 = _invgamma(rng, 1.0, 1.0 / state.nu + theta * theta / (2.0 * tau2))
+    nu = _invgamma(rng, 1.0, 1.0 + 1.0 / lam2)
+    xi = state.xi
+    if prior.kind is not HyperPriorKind.POINT_MASS:
+        S = float(np.sum(theta * theta / (2.0 * lam2)))
+        if prior.kind is HyperPriorKind.HALF_CAUCHY:
+            tau2 = _invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S)
+            xi = _invgamma(rng, 1.0, 1.0 + 1.0 / tau2)
+        elif prior.kind is HyperPriorKind.TRUNCATED_HALF_CAUCHY:
+            tau2 = _trunc_invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S, 1.0 / n**2, 1.0)
+            xi = _invgamma(rng, 1.0, 1.0 + 1.0 / tau2)
+        else:
+            # flat hyperprior: exact conditional, no auxiliary
+            tau2 = _trunc_invgamma(rng, 0.5 * (n - 1), S, 1.0 / n**2, 1.0)
+    return GibbsState(theta=theta, lambda2=lam2, nu=nu, tau2=tau2, xi=xi)

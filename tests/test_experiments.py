@@ -161,6 +161,30 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"method '{method}'"):
             build_scenario(parse_config(text))
 
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(methods=("hb-tcauchy",), hb_iters=0), "hb_iters"),
+        (dict(methods=("eb-mmle", "hb-cauchy"), hb_iters=99), "hb_iters"),
+        (dict(methods=("hb-tuniform",), hb_burn_in=-1), "hb_burn_in"),
+        (dict(methods=("eb-mmle", "hb-tcauchy"), ball=True, ball_draws=500), "ball_draws"),
+    ])
+    def test_bad_chain_and_ball_sizes_rejected_when_built(self, overrides, key):
+        with pytest.raises(ValueError, match=key):
+            _config(**overrides)
+
+    def test_chain_and_ball_sizes_checked_only_where_used(self):
+        # no chain runs without an hb-* method, and an HB ball summarizes
+        # the chain's own draws rather than ball_draws fresh ones
+        _config(methods=("eb-mmle",), hb_iters=0, hb_burn_in=-1)
+        _config(methods=("hb-tcauchy",), ball=True, ball_draws=10, hb_iters=100,
+                hb_burn_in=0)
+        _config(methods=("eb-mmle",), ball_draws=10)
+
+    def test_bad_chain_size_in_a_config_file_names_the_key(self):
+        text = ("n = 50\np = 2\nsignal = fixed:3\nreps = 1\nseed = 0\n"
+                "methods = hb-tcauchy\nhb_iters = 0")
+        with pytest.raises(ValueError, match="hb_iters"):
+            build_scenario(parse_config(text))
+
 
 class TestRunMethod:
     def test_fixed_scale_matches_interval_batch(self):

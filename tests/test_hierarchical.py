@@ -3,10 +3,13 @@
 import logging
 import math
 
+import mpmath as mp
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from _oracles import gamma_gibbs_step
+from hsuq import hierarchical
 from hsuq.credible import ball_radius
 from hsuq.hierarchical import (
     Chain,
@@ -136,6 +139,48 @@ class TestGibbsStep:
         assert out.tau2 == 1.0
         assert any("clamping" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("field", ["lambda2", "nu", "tau2", "xi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nan_and_infinite_scales(self, field, bad):
+        kw = dict(theta=np.zeros(3), lambda2=np.ones(3), nu=np.ones(3), tau2=0.01, xi=1.0)
+        if field in ("lambda2", "nu"):
+            kw[field][1] = bad
+        else:
+            kw[field] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            GibbsState(**kw)
+
+    def test_lower_tail_truncation_when_upper_tail_rounds_to_one(self, caplog):
+        # The tau2 conditional that a null n=400 truncated_uniform chain
+        # met: its bulk lies below lo, so Q(a, s/x) is 1.0 at both ends,
+        # yet the mass in [lo, hi] is about 5e-18 and can be drawn from.
+        from scipy.special import gammaincc
+
+        from hsuq.hierarchical import _trunc_invgamma
+
+        shape, scale, lo, hi = 199.5, 0.0006334328365138885, 1.0 / 400**2, 1.0
+        assert gammaincc(shape, scale / lo) == gammaincc(shape, scale / hi) == 1.0
+        rng = np.random.default_rng(43)
+        N = 20_000
+        with caplog.at_level(logging.WARNING, logger="hsuq.hierarchical"):
+            draws = np.array([_trunc_invgamma(rng, shape, scale, lo, hi) for _ in range(N)])
+        assert not any("clamping" in rec.message for rec in caplog.records)
+        assert draws.min() >= lo and draws.max() <= hi
+        assert np.any(draws > lo)
+
+        def P(x):
+            return mp.gammainc(shape, 0, scale / x, regularized=True)
+
+        def cdf(x):
+            with mp.workdps(40):
+                return float((P(lo) - P(x)) / (P(lo) - P(hi)))
+
+        for probe in (6.26e-6, 6.28e-6, 6.32e-6):
+            emp = np.mean(draws <= probe)
+            p = cdf(probe)
+            assert 0.1 < p < 0.9
+            assert abs(emp - p) <= 4.0 * math.sqrt(p * (1.0 - p) / N)
+
     def test_truncated_inverse_gamma_matches_analytic_cdf(self):
         from scipy.special import gammaincc
 
@@ -192,6 +237,72 @@ class TestRunChain:
         for i in range(Y.size):
             se = mcse_mean(chain.thetas[:, i])
             assert abs(chain.theta_mean[i] - exact[i]) <= 3.0 * se
+
+
+class TestSweepGuards:
+    ALL_PRIORS = [
+        HyperPrior.half_cauchy(),
+        HyperPrior.truncated_half_cauchy(),
+        HyperPrior.truncated_uniform(),
+        HyperPrior.point_mass(0.05),
+    ]
+
+    @pytest.mark.parametrize("seed, prior", enumerate(ALL_PRIORS))
+    def test_chain_matches_gamma_draw_oracle_bit_for_bit(self, seed, prior, monkeypatch,
+                                                         caplog):
+        Y = _mixed_data(n=400, seed=31)
+        with caplog.at_level(logging.WARNING, logger="hsuq.hierarchical"):
+            fast = run_chain(Y, prior, iters=1500, burn_in=0, seed=seed)
+            monkeypatch.setattr(hierarchical, "gibbs_step", gamma_gibbs_step)
+            slow = run_chain(Y, prior, iters=1500, burn_in=0, seed=seed)
+        assert not any("clamping" in rec.message for rec in caplog.records)
+        npt.assert_array_equal(fast.thetas, slow.thetas)
+        npt.assert_array_equal(fast.taus, slow.taus)
+
+    def test_quantile_intervals_equal_two_quantile_calls(self):
+        chain = run_chain(_mixed_data(n=60), HyperPrior.truncated_half_cauchy(),
+                          iters=700, burn_in=100, seed=8)
+        alpha, L = 0.1, 1.3
+        ivs = hb_marginal_intervals(chain, alpha, L=L)
+        lo = np.quantile(chain.thetas, alpha / 2.0, axis=0)
+        hi = np.quantile(chain.thetas, 1.0 - alpha / 2.0, axis=0)
+        npt.assert_array_equal(ivs.center, 0.5 * (lo + hi))
+        npt.assert_array_equal(ivs.half_width, 0.5 * (hi - lo) * L)
+
+    def test_run_chain_calls_the_module_sweep_once_per_iteration(self, monkeypatch):
+        calls = []
+        sweep = hierarchical.gibbs_step
+
+        def counting(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(hierarchical, "gibbs_step", counting)
+        run_chain(_mixed_data(), HyperPrior.half_cauchy(), iters=250, burn_in=50, seed=1)
+        assert len(calls) == 250
+
+
+class TestLongNullChain:
+    @pytest.mark.parametrize("prior", [
+        HyperPrior.half_cauchy(),
+        HyperPrior.truncated_half_cauchy(),
+        HyperPrior.truncated_uniform(),
+    ])
+    def test_null_chain_stays_finite_in_support_and_unclamped(self, prior, caplog):
+        # Tiny local scales are where horseshoe Gibbs samplers lose
+        # precision (Johndrow, Orenstein & Bhattacharya, JMLR 2020); the
+        # truncated_uniform chain at seed 4 meets a tau2 conditional whose
+        # upper-tail mass rounds to 1 at both truncation bounds.
+        n = 400
+        Y = np.random.default_rng(7).standard_normal(n)
+        with caplog.at_level(logging.WARNING, logger="hsuq.hierarchical"):
+            chain = run_chain(Y, prior, iters=20_000, burn_in=0, seed=4)
+        assert np.all(np.isfinite(chain.thetas))
+        assert np.all(np.isfinite(chain.taus))
+        lo, hi = prior.support(n)
+        assert np.all((chain.taus >= lo) & (chain.taus <= hi))
+        assert np.all(chain.taus > 0.0)
+        assert not any("clamping" in rec.message for rec in caplog.records)
 
 
 class TestMarginalIntervals:
