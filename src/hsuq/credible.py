@@ -19,6 +19,7 @@ from scipy.special import ndtri
 from .kernels import (
     SparsityRate,
     _as_obs,
+    _check_level,
     _tau_value,
     posterior_fourth_central,
     posterior_mean,
@@ -85,8 +86,7 @@ class ExcessiveBiasReport:
 def interval_batch(Y, tau, alpha, L=1.0):
     """One marginal credible interval per coordinate, shared tau: a
     record array with the float fields center and half_width."""
-    if L <= 0.0:
-        raise ValueError(f"blow-up factor must be positive, got {L}")
+    _check_level(alpha, L)
     batch = PosteriorBatch(Y, tau)
     return _intervals(batch.means, L * batch.radius_batch(alpha))
 
@@ -106,8 +106,10 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
 
     Returns (radius, mc_se) where the standard error comes from the
     usual order-statistic asymptotics with a finite-difference density
-    estimate at the quantile. ``_center`` is the posterior mean, if known.
+    estimate at the quantile, over a step that stays inside (0, 1).
+    ``_center`` is the posterior mean, if known.
     """
+    _check_level(alpha)
     draws = int(draws)
     if draws < 1000:
         raise ValueError(f"need at least 1000 draws for a stable quantile, got {draws}")
@@ -117,7 +119,7 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     dist = np.linalg.norm(M - center[None, :], axis=1)
     p = 1.0 - float(alpha)
     r = float(np.quantile(dist, p))
-    h = min(float(alpha) / 2.0, 0.02)
+    h = min(float(alpha) / 2.0, p / 2.0, 0.02)
     spread = float(np.quantile(dist, p + h) - np.quantile(dist, p - h))
     dens = spread / (2.0 * h) if spread > 0 else math.inf
     mc_se = math.sqrt(p * (1.0 - p) / draws) * dens
@@ -129,6 +131,7 @@ def ball_radius_approx(Y, tau, alpha):
     the standard deviation of ||theta - mean||^2. No sampling; useful as
     a cheap cross-check, not a replacement for the Monte Carlo radius.
     """
+    _check_level(alpha)
     Y = _as_obs(Y, 1)
     t = _tau_value(tau)
     v = posterior_variance(Y, t)
@@ -144,8 +147,7 @@ def credible_ball(Y, tau, alpha, L, draws, rng, method="mc"):
     method="mc" is the defining Monte Carlo construction; method="approx"
     uses the moment radius and is flagged on the result.
     """
-    if L <= 0.0:
-        raise ValueError(f"blow-up factor must be positive, got {L}")
+    _check_level(alpha, L)
     Y = _as_obs(Y, 1)
     center = posterior_mean(Y, tau)
     if method == "approx":
@@ -172,15 +174,19 @@ def _region_split(theta0, small_hi, med_lo, med_hi, large_lo):
     return list(labels)
 
 
-def classify_regions(theta0, tau, kS=1.0, kM=0.9, kL=1.1, f=2.0):
-    """Label coordinates as small/medium/large relative to the scale tau."""
-    t = _tau_value(tau)
-    if kS <= 0.0 or f <= 0.0:
+def _check_region_constants(kS, kM, kL, f):
+    if not (kS > 0.0 and f > 0.0):
         raise ValueError("kS and f must be positive")
     if not kM < 1.0:
         raise ValueError(f"medium cutoff must satisfy kM < 1, got {kM}")
     if not kL > 1.0:
         raise ValueError(f"large cutoff must satisfy kL > 1, got {kL}")
+
+
+def classify_regions(theta0, tau, kS=1.0, kM=0.9, kL=1.1, f=2.0):
+    """Label coordinates as small/medium/large relative to the scale tau."""
+    t = _tau_value(tau)
+    _check_region_constants(kS, kM, kL, f)
     if f * t <= kS * t:
         raise ValueError(
             f"regions overlap: medium floor f*tau = {f * t:.4g} does not exceed "
@@ -192,21 +198,15 @@ def classify_regions(theta0, tau, kS=1.0, kM=0.9, kL=1.1, f=2.0):
 
 def classify_regions_adaptive(theta0, n, p, kS=1.0, kM=0.9, kL=1.1, f=2.0):
     """Same labeling with boundaries tied to the sparsity rate (p of n)."""
-    if kS <= 0.0 or f <= 0.0:
-        raise ValueError("kS and f must be positive")
-    if not kM < 1.0:
-        raise ValueError(f"medium cutoff must satisfy kM < 1, got {kM}")
-    if not kL > 1.0:
-        raise ValueError(f"large cutoff must satisfy kL > 1, got {kL}")
+    _check_region_constants(kS, kM, kL, f)
     tn = SparsityRate(n=n, p=p).tau_n
     if f * tn <= kS / n:
         raise ValueError(
             f"regions overlap: medium floor f*tau_n = {f * tn:.4g} does not exceed "
             f"small ceiling kS/n = {kS / n:.4g}"
         )
-    med_hi = kM * math.sqrt(2.0 * math.log(1.0 / tn))
     large_lo = kL * math.sqrt(2.0 * math.log(n))
-    return _region_split(theta0, kS / n, f * tn, med_hi, large_lo)
+    return _region_split(theta0, kS / n, f * tn, kM * zeta(tn), large_lo)
 
 
 def _count_at_least(sorted_abs, thr):
@@ -239,11 +239,11 @@ def excessive_bias_diagnostic(theta0, A=2.0, Cs=1.0, C=None):
     """
     if not A > 1.0:
         raise ValueError(f"need A > 1, got {A}")
-    if Cs <= 0.0:
+    if not Cs > 0.0:
         raise ValueError(f"need Cs > 0, got {Cs}")
     if C is None:
         C = 2.0 * A * A
-    if C <= 0.0:
+    if not C > 0.0:
         raise ValueError(f"need C > 0, got {C}")
     theta0 = _as_obs(theta0, 1)
     a = np.sort(np.abs(theta0))
@@ -266,9 +266,11 @@ def region_blowups(alpha, gamma, k_small=1.0):
     """Blow-up factors at which small and large coordinates reach their
     target coverage, as functions of the coverage shortfall gamma. The
     medium region is the one that stays uncovered at any fixed factor.
+    Needs 0 < alpha < 1/2: both factors divide by ndtri(1 - alpha).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must be in (0, 1/2) for region blow-ups, got {alpha}: "
+                         "they divide by ndtri(1 - alpha), which is 0 at 1/2")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     z_a = ndtri(1.0 - alpha)

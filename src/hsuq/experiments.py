@@ -42,6 +42,7 @@ from .kernels import (
     SCORE_UPPER_BOUND,
     GlobalScale,
     SparsityRate,
+    _check_level,
     expansion_Hk,
     integral_Ik,
     marginal_density,
@@ -136,12 +137,7 @@ class ThreeGroup:
         return "three_group:" + ",".join(str(c) for c in self.counts)
 
     def values(self, n, p):
-        tn = SparsityRate(n, p).tau_n
-        return (
-            1.0 / n,
-            0.5 * math.sqrt(2.0 * math.log(1.0 / tn)),
-            1.5 * math.sqrt(2.0 * math.log(n)),
-        )
+        return (1.0 / n, 0.5 * zeta(SparsityRate(n, p).tau_n), 1.5 * math.sqrt(2.0 * math.log(n)))
 
     def draw(self, rng, n, p):
         return np.repeat(self.values(n, p), self.counts)
@@ -216,10 +212,7 @@ class ScenarioConfig:
             raise ValueError(f"need 0 <= p <= n, got p={self.p}, n={self.n}")
         if self.reps < 1:
             raise ValueError(f"need reps >= 1, got {self.reps}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.blowup_L <= 0.0:
-            raise ValueError(f"blow-up factor must be positive, got {self.blowup_L}")
+        _check_level(self.alpha, self.blowup_L)
         if not re.fullmatch(r"[A-Za-z0-9_-]+", self.name):
             raise ValueError(f"scenario name must be alphanumeric, got {self.name!r}")
         if not self.methods:
@@ -242,6 +235,9 @@ class ScenarioConfig:
                 raise ValueError(
                     f"three_group counts {self.signal.counts} must sum to p={self.p}"
                 )
+            if self.p == self.n:
+                raise ValueError(f"signal {self.signal.label} needs p < n: its medium "
+                                 "group sits at zeta(tau_n)/2, and tau_n = 0 at p = n")
 
 
 def generate(config, rep_index):
@@ -272,8 +268,7 @@ def run_method(Y, method, alpha, L=1.0, seed=0, hb_iters=3000, hb_burn_in=500,
     posterior mean and variance but uses a Gaussian quantile; HB methods
     summarize a Gibbs chain. ``_mmle`` is the MMLE of Y when already fitted.
     """
-    if L <= 0.0:
-        raise ValueError(f"blow-up factor must be positive, got {L}")
+    _check_level(alpha, L)
     Y = np.asarray(Y, dtype=float)
     if method in HB_METHODS:
         chain = run_chain(Y, HB_METHODS[method](), iters=hb_iters + hb_burn_in,

@@ -36,7 +36,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from .credible import CredibleBall, _intervals
-from .kernels import SparsityRate, _as_obs
+from .kernels import SparsityRate, _as_obs, _check_level
 from .tau import simple_estimator
 
 __all__ = [
@@ -292,11 +292,10 @@ def run_chain(Y, prior, iters=12000, burn_in=2000, thin=1, seed=0):
     return Chain(thetas=thetas, taus=taus, burn_in=burn_in, thin=thin, seed=seed)
 
 
-def _check_chain(chain, alpha):
+def _check_chain(chain, alpha, L):
     if chain.n_draws < 100:
         raise ValueError(f"need at least 100 kept draws, got {chain.n_draws}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_level(alpha, L)
 
 
 def hb_marginal_intervals(chain, alpha, L=1.0, method="quantile"):
@@ -308,9 +307,7 @@ def hb_marginal_intervals(chain, alpha, L=1.0, method="quantile"):
     method="centered" centers at the chain mean and uses the empirical
     (1-alpha) quantile of the absolute deviation as the radius.
     """
-    _check_chain(chain, alpha)
-    if L <= 0.0:
-        raise ValueError(f"blow-up factor must be positive, got {L}")
+    _check_chain(chain, alpha, L)
     T = chain.thetas
     if method == "quantile":
         lo, hi = np.quantile(T, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
@@ -326,9 +323,7 @@ def hb_marginal_intervals(chain, alpha, L=1.0, method="quantile"):
 
 def hb_ball(chain, alpha, L=1.0):
     """L2 credible ball around the chain mean vector."""
-    _check_chain(chain, alpha)
-    if L <= 0.0:
-        raise ValueError(f"blow-up factor must be positive, got {L}")
+    _check_chain(chain, alpha, L)
     center = chain.theta_mean
     dist = np.linalg.norm(chain.thetas - center[None, :], axis=1)
     r = float(np.quantile(dist, 1.0 - alpha))
@@ -339,24 +334,24 @@ def hb_ball(chain, alpha, L=1.0):
     )
 
 
-def mcse_mean(x, batches=50):
-    """Batch-means Monte Carlo standard error of the mean of a chain."""
+def _batch_se(x, batches, stat):
+    """Standard error of a chain statistic from its values on equal batches."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2 * batches:
         raise ValueError(f"need at least {2 * batches} draws for {batches} batches")
     m = x.size // batches
-    b = x[: m * batches].reshape(batches, m).mean(axis=1)
+    b = stat(x[: m * batches].reshape(batches, m))
     return float(np.std(b, ddof=1) / math.sqrt(batches))
+
+
+def mcse_mean(x, batches=50):
+    """Batch-means Monte Carlo standard error of the mean of a chain."""
+    return _batch_se(x, batches, lambda b: b.mean(axis=1))
 
 
 def mcse_quantile(x, p, batches=50):
     """Batch-wise standard error of an empirical quantile of a chain."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size < 2 * batches:
-        raise ValueError(f"need at least {2 * batches} draws for {batches} batches")
-    m = x.size // batches
-    b = np.quantile(x[: m * batches].reshape(batches, m), p, axis=1)
-    return float(np.std(b, ddof=1) / math.sqrt(batches))
+    return _batch_se(x, batches, lambda b: np.quantile(b, p, axis=1))
 
 
 def verify_hyperprior(prior, rate, Cu, c=None):

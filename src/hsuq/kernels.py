@@ -87,8 +87,7 @@ def zeta(tau: "float | GlobalScale") -> float:
     Equals 0 at tau = 1 and grows as tau decreases; sqrt(2 log n) is the
     universal threshold, recovered at tau = 1/n.
     """
-    t = _tau_value(tau)
-    return math.sqrt(2.0 * math.log(1.0 / t))
+    return math.sqrt(2.0 * math.log(1.0 / _tau_value(tau)))
 
 
 @dataclass(frozen=True)
@@ -105,14 +104,14 @@ class GlobalScale:
 
     def __post_init__(self):
         t = float(self.tau)
-        if not math.isfinite(t) or not 0.0 < t <= 1.0:
+        if not 0.0 < t <= 1.0:  # NaN and inf fail too
             raise ValueError(f"tau must lie in (0, 1], got {self.tau!r}")
         object.__setattr__(self, "tau", t)
 
     @property
     def zeta(self) -> float:
         """sqrt(2 log(1/tau)); zero at tau = 1."""
-        return math.sqrt(2.0 * math.log(1.0 / self.tau))
+        return zeta(self)
 
 
 @dataclass(frozen=True)
@@ -154,21 +153,19 @@ class KernelOrder:
 
 
 def _tau_value(tau) -> float:
-    if isinstance(tau, GlobalScale):
-        return tau.tau
-    t = float(tau)
-    if not math.isfinite(t) or not 0.0 < t <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
-    return t
+    return (tau if isinstance(tau, GlobalScale) else GlobalScale(tau)).tau
 
 
 def _order_value(k) -> float:
-    if isinstance(k, KernelOrder):
-        return k.k
-    kk = float(k)
-    if kk not in KERNEL_ORDERS:
-        raise ValueError(f"kernel order must be one of {KERNEL_ORDERS}, got {k!r}")
-    return kk
+    return (k if isinstance(k, KernelOrder) else KernelOrder(k)).k
+
+
+def _check_level(alpha, L=1.0):
+    """Check a credible level 1 - alpha and a blow-up factor L; NaN fails both."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not L > 0.0:
+        raise ValueError(f"blow-up factor must be positive, got {L}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +190,11 @@ def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
 
     Geometric gradation toward u = 0 at the scale of the rational knee
     (u ~ tau) and toward u = 1 at the scale of the exponential layer
-    (1 - u ~ 1/y^2).
+    (1 - u ~ 1/y^2). The layer needs y^2 finite, which holds for
+    |y| < 1.34e154; a larger y raises ValueError.
     """
+    if not math.isfinite(y_abs_max * y_abs_max):
+        raise ValueError(f"|y| = {y_abs_max:g} is out of range: its square overflows")
     pts = [0.0, 0.5, 1.0]
     if tau < 0.4:
         e = tau / 8.0
@@ -247,13 +247,13 @@ def _layout(tau, y_abs_max: float, splits: int = 0):
     return u, _prior(tau, u, wt)
 
 
-def _mixture_moments(y2: np.ndarray, tau: float, powers, splits: int = 0) -> np.ndarray:
+def _mixture_moments(y: np.ndarray, tau: float, powers, splits: int = 0) -> np.ndarray:
     """Rescaled kernel moments 2 * int u^a (1-u^2)^b D(u) exp(-y^2(1-u^2)/2) du.
 
     Parameters
     ----------
-    y2 : ndarray
-        Squared observations, flat.
+    y : ndarray
+        Observations, flat.
     tau : float
         Global scale in (0, 1].
     powers : sequence of (int, int)
@@ -263,12 +263,12 @@ def _mixture_moments(y2: np.ndarray, tau: float, powers, splits: int = 0) -> np.
 
     Returns
     -------
-    ndarray of shape (len(powers), len(y2))
+    ndarray of shape (len(powers), len(y))
         The value equals exp(-y^2/2) times the corresponding I-type
         integral; it never overflows.
     """
-    ymax = math.sqrt(float(y2.max())) if y2.size else 0.0
-    u, w = _layout(tau, ymax, splits)
+    u, w = _layout(tau, float(np.abs(y).max()) if y.size else 0.0, splits)
+    y2 = y * y
     om = 1.0 - u * u
     fs = np.stack([w * u**a * om**b for a, b in powers])
     out = np.empty((len(powers), y2.size))
@@ -277,17 +277,18 @@ def _mixture_moments(y2: np.ndarray, tau: float, powers, splits: int = 0) -> np.
     return out
 
 
-def _tau_sweep(y2: np.ndarray, taus: np.ndarray):
+def _tau_sweep(y: np.ndarray, taus: np.ndarray):
     """Summed score and log marginal likelihood at every tau of a grid, in one pass.
 
     All taus share one panel layout, graded into the knee of the smallest
     (which resolves every larger one), and one damping matrix per block of
-    rows, so memory is O(len(taus) * _SWEEP_CHUNK) whatever len(y2). Returns
+    rows, so memory is O(len(taus) * _SWEEP_CHUNK) whatever len(y). Returns
     ``(scores, loglik)``: ``sum(score_m(y, tau))`` and
     ``log_marginal_lik(y, tau)`` per tau.
     """
     g = taus.size
-    u, w = _layout(taus, math.sqrt(float(y2.max())))
+    u, w = _layout(taus, float(np.abs(y).max()))
+    y2 = y * y
     u2 = u * u
     fs = np.concatenate([w, w * u2, w * u2 * (1.0 - u2)])
     scores = np.zeros(g)
@@ -312,15 +313,15 @@ def _as_obs(Y, min_size):
     return arr
 
 
-def _as_flat(y):
+def _elementwise(formula, y, tau):
+    """formula(flat y, tau) after the checks of tau and then y.
+
+    Gives a float for a scalar or 0-d y and an array of y's shape otherwise.
+    """
+    t = _tau_value(tau)
     arr = np.asarray(y, dtype=float)
-    return _as_obs(arr, 0), arr.shape, arr.ndim == 0
-
-
-def _restore(values: np.ndarray, shape, scalar: bool):
-    if scalar:
-        return float(values[0])
-    return values.reshape(shape)
+    vals = formula(_as_obs(arr, 0), t)
+    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +343,13 @@ def log_integral_Ik(y, tau, k) -> "float | np.ndarray":
         log I_k(y). Use this instead of :func:`integral_Ik` when
         exp(y^2/2) would overflow (|y| > 37 or so).
     """
-    t = _tau_value(tau)
-    kk = _order_value(k)
-    flat, shape, scalar = _as_flat(y)
-    a = int(2.0 * kk + 1.0)
-    j = _mixture_moments(flat * flat, t, [(a, 0)])[0]
-    vals = 0.5 * flat * flat + np.log(j)
-    return _restore(vals, shape, scalar)
+    t = _tau_value(tau)  # the checks run in order: tau, k, y
+    a = int(2.0 * _order_value(k) + 1.0)
+
+    def formula(y, t):
+        return np.log(_mixture_moments(y, t, [(a, 0)])[0]) + 0.5 * y * y
+
+    return _elementwise(formula, y, t)
 
 
 def integral_Ik(y: float, tau, k) -> float:
@@ -376,12 +377,12 @@ def integral_Ik(y: float, tau, k) -> float:
     if not math.isfinite(yv):
         raise ValueError("y must be finite")
     a = int(2.0 * kk + 1.0)
-    y2 = np.asarray([yv * yv])
+    y = np.asarray([yv])
     tol = 1e-11
-    prev = _mixture_moments(y2, t, [(a, 0)])[0, 0]
+    prev = _mixture_moments(y, t, [(a, 0)])[0, 0]
     est = math.inf
     for splits in range(1, 5):
-        cur = _mixture_moments(y2, t, [(a, 0)], splits)[0, 0]
+        cur = _mixture_moments(y, t, [(a, 0)], splits)[0, 0]
         est = abs(cur - prev) / cur
         if est <= tol:
             return float(np.exp(0.5 * yv * yv + np.log(cur)))
@@ -407,23 +408,20 @@ def marginal_density(y, tau) -> "float | np.ndarray":
     density. Strictly positive and symmetric in y, with tails decaying
     like tau/y^2.
     """
-    t = _tau_value(tau)
-    flat, shape, scalar = _as_flat(y)
-    j = _mixture_moments(flat * flat, t, [(0, 0)])[0]
-    vals = t / math.pi * j / math.sqrt(2.0 * math.pi)
-    return _restore(vals, shape, scalar)
+    def formula(y, t):
+        return t / math.pi * _mixture_moments(y, t, [(0, 0)])[0] / math.sqrt(2.0 * math.pi)
+
+    return _elementwise(formula, y, tau)
 
 
-def _log_marginal(flat: np.ndarray, t: float) -> np.ndarray:
-    j = _mixture_moments(flat * flat, t, [(0, 0)])[0]
+def _log_marginal(y: np.ndarray, t: float) -> np.ndarray:
+    j = _mixture_moments(y, t, [(0, 0)])[0]
     return math.log(t) - math.log(math.pi) - _LOG_SQRT_2PI + np.log(j)
 
 
 def log_marginal_density(y, tau) -> "float | np.ndarray":
     """log of :func:`marginal_density`; finite for every finite y."""
-    t = _tau_value(tau)
-    flat, shape, scalar = _as_flat(y)
-    return _restore(_log_marginal(flat, t), shape, scalar)
+    return _elementwise(_log_marginal, y, tau)
 
 
 def log_marginal_lik(Y, tau) -> float:
@@ -448,12 +446,11 @@ def score_m(y, tau) -> "float | np.ndarray":
     nonnegative weight u^2 (1 - u^2) rather than by subtraction, so there
     is no cancellation at large |y|.
     """
-    t = _tau_value(tau)
-    flat, shape, scalar = _as_flat(y)
-    y2 = flat * flat
-    j0, jz, jd = _mixture_moments(y2, t, [(0, 0), (2, 0), (2, 1)])
-    vals = y2 * jd / j0 - jz / j0
-    return _restore(vals, shape, scalar)
+    def formula(y, t):
+        j0, jz, jd = _mixture_moments(y, t, [(0, 0), (2, 0), (2, 1)])
+        return y * y * jd / j0 - jz / j0
+
+    return _elementwise(formula, y, tau)
 
 
 def posterior_mean(y, tau) -> "float | np.ndarray":
@@ -463,14 +460,14 @@ def posterior_mean(y, tau) -> "float | np.ndarray":
     expectation of the shrinkage weight z. Odd in y and bounded in
     magnitude by |y|.
     """
-    t = _tau_value(tau)
-    flat, shape, scalar = _as_flat(y)
-    j0, jz = _mixture_moments(flat * flat, t, [(0, 0), (2, 0)])
-    vals = flat * jz / j0
-    return _restore(vals, shape, scalar)
+    def formula(y, t):
+        j0, jz = _mixture_moments(y, t, [(0, 0), (2, 0)])
+        return y * jz / j0
+
+    return _elementwise(formula, y, tau)
 
 
-def _weight_moments(y2: np.ndarray, t: float, order: int):
+def _weight_moments(y: np.ndarray, t: float, order: int):
     """E z, E z^2 and the central moments c_2..c_order of the weight z.
 
     The central moments come from the raw moments of z where E z < 1/2 and
@@ -478,7 +475,7 @@ def _weight_moments(y2: np.ndarray, t: float, order: int):
     of the mean stay below 1/2 and cancel little at either end of (0, 1).
     """
     ks = range(1, order + 1)
-    j0, *js = _mixture_moments(y2, t, [(0, 0)] + [(2 * k, 0) for k in ks] + [(0, k) for k in ks])
+    j0, *js = _mixture_moments(y, t, [(0, 0)] + [(2 * k, 0) for k in ks] + [(0, k) for k in ks])
     raw = np.array(js) / j0
     ez = raw[0]
     low = ez < 0.5
@@ -498,11 +495,11 @@ def posterior_variance(y, tau) -> "float | np.ndarray":
     with Var(z | y) from whichever of z and w = 1 - z has the smaller mean,
     so the subtraction keeps full precision at tiny tau and at large |y|.
     """
-    t = _tau_value(tau)
-    flat, shape, scalar = _as_flat(y)
-    y2 = flat * flat
-    ez, _, (c2,) = _weight_moments(y2, t, 2)
-    return _restore(y2 * c2 + ez, shape, scalar)
+    def formula(y, t):
+        ez, _, (c2,) = _weight_moments(y, t, 2)
+        return y * y * c2 + ez
+
+    return _elementwise(formula, y, tau)
 
 
 def posterior_fourth_central(y, tau) -> "float | np.ndarray":
@@ -517,12 +514,12 @@ def posterior_fourth_central(y, tau) -> "float | np.ndarray":
     taken as in :func:`posterior_variance`. Always at least the squared
     posterior variance.
     """
-    t = _tau_value(tau)
-    flat, shape, scalar = _as_flat(y)
-    y2 = flat * flat
-    ez, ez2, (c2, c3, c4) = _weight_moments(y2, t, 4)
-    vals = y2 * y2 * c4 + 6.0 * y2 * (c3 + ez * c2) + 3.0 * ez2
-    return _restore(vals, shape, scalar)
+    def formula(y, t):
+        ez, ez2, (c2, c3, c4) = _weight_moments(y, t, 4)
+        y2 = y * y
+        return y2 * y2 * c4 + 6.0 * y2 * (c3 + ez * c2) + 3.0 * ez2
+
+    return _elementwise(formula, y, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +576,8 @@ def expansion_Hk(y: float, k) -> float:
     if not math.isfinite(yv):
         raise ValueError("y must be finite")
     x = 0.5 * yv * yv
+    if math.isinf(x):  # the panel grading below would never end
+        raise ValueError(f"|y| = {abs(yv):g} is out of range: its square overflows")
     if kk < 0.0:
         if yv == 0.0:
             raise ValueError("y must be nonzero for negative orders")

@@ -25,8 +25,10 @@ from .kernels import (
     _BATCH_SPLITS,
     GlobalScale,
     _as_obs,
+    _check_level,
     _damp,
     _layout,
+    _tau_value,
     posterior_mean,
     posterior_variance,
 )
@@ -44,7 +46,7 @@ class PosteriorBatch:
 
     def __init__(self, Y, tau):
         self.Y = np.ascontiguousarray(_as_obs(Y, 1))
-        self.tau = tau if isinstance(tau, GlobalScale) else GlobalScale(float(tau))
+        self.tau = GlobalScale(_tau_value(tau))
         ymax = float(np.max(np.abs(self.Y)))
         self._u, w = _layout(self.tau.tau, ymax, _BATCH_SPLITS)
         # one (n, nodes) matrix, built in place: damp, weight, normalise
@@ -95,14 +97,18 @@ class PosteriorBatch:
     def _solve(self, base, signs, target, x, lo, hi):
         """Per-row root of the increasing g(x) = sum_j signs_j F(base_j + signs_j x) - target.
 
-        g < 0 at lo and > 0 at hi. One evaluator pass per iteration gives g,
-        g' and g''. Halley steps fall back to Newton when their denominator
-        is not positive, and bisect when they leave the bracket or |g| did
-        not halve since the last step. A row stops at |g| < 1e-9 or, at float
-        resolution, at a one-ulp bracket, and returns its point of least |g|.
+        g < 0 at lo and > 0 at hi, so each row's node mass must exceed the
+        target (ArithmeticError if not). One evaluator pass per iteration
+        gives g, g' and g''. Halley steps fall back to Newton when their
+        denominator is not positive, and bisect when they leave the bracket
+        or |g| did not halve since the last step. A row stops at |g| < 1e-9
+        or, at float resolution, at a one-ulp bracket, and returns its point
+        of least |g|.
         ``diagnostics`` counts the rows ``capped`` at 80 iterations and those
         stopped ``at_resolution``, with the largest least |g| (``max_residual``).
         """
+        if np.any(self._W.sum(axis=1) - target <= 0.0):
+            raise ArithmeticError("no finite root reaches the target mass")
         idx = np.arange(self.n)
         best, resid, prev = x.copy(), np.full(self.n, np.inf), np.full(self.n, np.inf)
         stalled = 0
@@ -132,16 +138,14 @@ class PosteriorBatch:
         return best
 
     def radius_batch(self, alpha):
-        """Per-row radius r with posterior mass 1 - alpha on [mean - r, mean + r]."""
+        """Per-row radius r with posterior mass 1 - alpha on [mean - r, mean + r],
+        for 0 < alpha < 1."""
         alpha = float(alpha)
-        if not 0.0 < alpha <= 0.5:
-            raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
+        _check_level(alpha)
         target = 1.0 - alpha
         # at r = |y| + 10 every ndtr argument lies beyond +-10, where ndtr is
         # 1.0 or below 1e-23, so the gap there is the node mass minus the target
         hi = np.abs(self.Y) + 10.0
-        if np.any(self._W.sum(axis=1) - target <= 0.0):
-            raise ArithmeticError("no finite radius reaches the target mass")
         # normal-approximation start
         r = np.clip(ndtri(1.0 - alpha / 2.0) * np.sqrt(self.variances), 1e-6, hi)
         c = np.repeat(self.means[:, None], 2, axis=1)
@@ -156,8 +160,6 @@ class PosteriorBatch:
         # ndtr is exactly 0 or 1, so F is 0 at lo and the node mass at hi
         lo = np.minimum(self.Y, 0.0) - 40.0
         hi = np.maximum(self.Y, 0.0) + 40.0
-        if np.any(self._W.sum(axis=1) - p <= 0.0):
-            raise ArithmeticError("no finite quantile reaches the target mass")
         c = self.means
         return self._solve(np.zeros((self.n, 1)), np.ones(1), p, c.copy(), lo, hi)
 

@@ -59,7 +59,7 @@ def mmle(Y) -> TauEstimate:
     n = arr.size
     lo = 1.0 / n
     grid = np.geomspace(lo, 1.0, GRID_POINTS)
-    scores, objective = _tau_sweep(arr * arr, grid)
+    scores, objective = _tau_sweep(arr, grid)
 
     sign_changes = []
     roots = []
@@ -112,5 +112,4 @@ def simple_estimator(Y, c1=2.0, c2=1.0) -> TauEstimate:
 
 def fixed_tau(value) -> TauEstimate:
     """Wrap a user-chosen scale so downstream code sees one estimate type."""
-    g = value if isinstance(value, GlobalScale) else GlobalScale(float(value))
-    return TauEstimate(g, TauMethod.FIXED, {})
+    return TauEstimate(GlobalScale(_tau_value(value)), TauMethod.FIXED, {})

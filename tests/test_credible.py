@@ -100,8 +100,9 @@ class TestIntervalBatch:
             interval_batch(Y, GlobalScale(0.1), alpha=0.05)
 
     def test_rejects_nonpositive_blowup(self):
-        with pytest.raises(ValueError):
-            interval_batch([0.0], GlobalScale(0.1), alpha=0.05, L=0.0)
+        for L in (0.0, math.nan):
+            with pytest.raises(ValueError, match="blow-up"):
+                interval_batch([0.0], GlobalScale(0.1), alpha=0.05, L=L)
 
     def test_sparse_mixture_coverage_pattern(self):
         # 5 strong means, 5 borderline means, 190 nulls. Strong means and
@@ -148,6 +149,21 @@ class TestBallRadius:
         with pytest.raises(ValueError, match="1000"):
             ball_radius(np.zeros(5), GlobalScale(0.1), alpha=0.05,
                         draws=999, rng=np.random.default_rng(0))
+
+    def test_rejects_levels_outside_the_unit_interval(self):
+        for alpha in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                ball_radius(np.zeros(5), 0.1, alpha, 1000, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                credible_ball(np.zeros(5), 0.1, alpha, 1.0, 1000, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="blow-up"):
+            credible_ball(np.zeros(5), 0.1, 0.05, math.nan, 1000, np.random.default_rng(0))
+
+    def test_high_level_has_finite_mc_se(self):
+        # the density step stays inside (0, 1) when 1 - alpha is small
+        r, se = ball_radius(np.linspace(-2.0, 3.0, 40), 0.2, 0.99, 2000,
+                            np.random.default_rng(1))
+        assert 0.0 < r and 0.0 < se < math.inf
 
     def test_radius_grows_with_dimension_on_null_data(self):
         tau = GlobalScale(0.1)
@@ -401,10 +417,12 @@ class TestExcessiveBias:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             excessive_bias_diagnostic(np.ones(10), A=1.0)
-        with pytest.raises(ValueError):
-            excessive_bias_diagnostic(np.ones(10), Cs=0.0)
-        with pytest.raises(ValueError):
-            excessive_bias_diagnostic(np.ones(10), C=-1.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="Cs > 0"):
+                excessive_bias_diagnostic(np.ones(10), Cs=bad)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="C > 0"):
+                excessive_bias_diagnostic(np.ones(10), C=bad)
 
 
 class TestRegionBlowups:
@@ -424,3 +442,7 @@ class TestRegionBlowups:
             region_blowups(alpha=0.0, gamma=0.1)
         with pytest.raises(ValueError):
             region_blowups(alpha=0.05, gamma=1.0)
+        # both factors divide by ndtri(1 - alpha): 0 at 1/2, negative above
+        for alpha in (0.5, 0.7):
+            with pytest.raises(ValueError, match=r"\(0, 1/2\).*ndtri"):
+                region_blowups(alpha=alpha, gamma=0.1)

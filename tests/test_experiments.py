@@ -133,6 +133,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="sum to p"):
             _config(p=5, signal=ThreeGroup((1, 1, 1)))
 
+    def test_three_group_needs_p_below_n(self):
+        # tau_n is 0 at p = n, where the medium group has no value
+        with pytest.raises(ValueError, match="three_group:1,1,1 needs p < n"):
+            _config(n=3, p=3, signal=ThreeGroup((1, 1, 1)))
+
+    def test_rejects_bad_level_and_blowup(self):
+        for alpha in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                _config(alpha=alpha)
+        with pytest.raises(ValueError, match="blow-up"):
+            _config(blowup_L=math.nan)
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             _config(methods=("eb-mmle", "lasso"))
@@ -219,7 +231,7 @@ class TestRunMethod:
     def test_eb_methods_reject_nonpositive_blowup(self):
         Y, _ = generate(_config(), 0)
         for method in ("eb-mmle", "eb-simple", "normal-approx", "fixed:0.1"):
-            for L in (0.0, -1.0):
+            for L in (0.0, -1.0, math.nan):
                 with pytest.raises(ValueError, match="blow-up"):
                     run_method(Y, method, 0.05, L=L)
 
@@ -297,6 +309,14 @@ class TestRunScenario:
         # the threshold row carries selection metrics only
         assert "coverage_all" not in rep.metrics["threshold"]
         assert "fdr" in rep.metrics["threshold"]
+
+    def test_level_above_half_runs_every_method_kind(self):
+        # one level rule, 0 < alpha < 1, for EB radii, normal quantiles and HB sets
+        cfg = _config(n=30, p=3, reps=1, alpha=0.7, hb_iters=200, hb_burn_in=100,
+                      methods=("eb-mmle", "normal-approx", "hb-tcauchy"))
+        rep = run_scenario(cfg)
+        assert set(rep.metrics) == {"eb-mmle", "normal-approx", "hb-tcauchy"}
+        assert all(0.0 <= m["coverage_all"] <= 1.0 for m in rep.metrics.values())
 
     def test_metric_keys_in_report_order(self):
         cfg = _config(n=40, p=4, signal=ThreeGroup((1, 1, 2)),

@@ -360,8 +360,11 @@ class TestMarginalIntervals:
         chain = self._constant_chain()
         with pytest.raises(ValueError):
             hb_marginal_intervals(chain, alpha=0.05, method="exact")
-        with pytest.raises(ValueError):
-            hb_marginal_intervals(chain, alpha=0.05, L=0.0)
+        for L in (0.0, math.nan):
+            with pytest.raises(ValueError, match="blow-up"):
+                hb_marginal_intervals(chain, alpha=0.05, L=L)
+            with pytest.raises(ValueError, match="blow-up"):
+                hb_ball(chain, alpha=0.05, L=L)
         with pytest.raises(ValueError):
             hb_marginal_intervals(chain, alpha=1.5)
 

@@ -1,6 +1,10 @@
 """Tests for the quadrature kernels and posterior moment formulas."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,50 @@ def test_array_entry_points_name_the_nonfinite_coordinate(name):
     args = (0.1, 0.5) if name == "log_integral_Ik" else (0.1,)
     with pytest.raises(ValueError, match="coordinate 1: value not finite"):
         getattr(kernels, name)(np.array([0.5, np.nan]), *args)
+
+
+# every entry point that grades its quadrature panels by |y|; each call
+# must raise, since for |y| > 1.34e154 the square of y overflows
+_HUGE_Y_CHILD = """
+import numpy as np
+from hsuq import credible, kernels, tau
+from hsuq.posterior import PosteriorBatch
+calls = {
+    "log_marginal_lik": lambda y: kernels.log_marginal_lik(y, 0.1),
+    "log_integral_Ik": lambda y: kernels.log_integral_Ik(y, 0.1, 0.5),
+    "PosteriorBatch": lambda y: PosteriorBatch(y, 0.1),
+    "interval_batch": lambda y: credible.interval_batch(y, 0.1, 0.05),
+    "mmle": tau.mmle,
+    "expansion_Hk": lambda y: kernels.expansion_Hk(y[1], 0.5),
+}
+for name in ("marginal_density", "log_marginal_density", "score_m", "posterior_mean",
+             "posterior_variance", "posterior_fourth_central"):
+    calls[name] = lambda y, f=getattr(kernels, name): f(y, 0.1)
+for big in (1e155, 1e300):
+    for name, call in calls.items():
+        try:
+            call(np.array([0.5, -big]))
+            outcome = "returned"
+        except ValueError:
+            outcome = "ValueError"
+        print(name, big, outcome, flush=True)
+"""
+
+
+def test_huge_observations_raise_in_time():
+    # in a child process, so a call that never returns fails the test
+    # at the timeout instead of stalling the suite
+    src = Path(kernels.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    try:
+        proc = subprocess.run([sys.executable, "-c", _HUGE_Y_CHILD], env=env,
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"an entry point hung; finished before it:\n{exc.stdout}")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 24
+    assert [line for line in lines if not line.endswith("ValueError")] == []
 
 
 class TestMarginalDensity:

@@ -214,8 +214,8 @@ class TestIntervalRadius:
 
     def test_rejects_bad_alpha(self):
         post = one(1.0, 0.2)
-        for a in [0.0, 0.6, 1.0]:
-            with pytest.raises(ValueError):
+        for a in [0.0, 1.0, math.nan]:
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
                 post.radius_batch(a)
 
     def test_unreachable_mass_raises(self):
@@ -403,6 +403,14 @@ class TestSolver:
         for batch in self.batches():
             r = batch.radius_batch(1e-4)
             assert np.all(mass_residual(batch, r, 1e-4) <= 1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.7, 0.9, 0.999])
+    def test_levels_above_half_reach_target_mass(self, alpha):
+        # the level rule is 0 < alpha < 1 for every credible set
+        for batch in self.batches():
+            r = batch.radius_batch(alpha)
+            assert np.all(mass_residual(batch, r, alpha) < 1e-9)
+            assert batch.diagnostics["capped"] == batch.diagnostics["at_resolution"] == 0
 
     def test_eb_data_reports_no_capped_rows(self):
         batch = eb_batch(3)

@@ -1,5 +1,6 @@
 """Structure guards: the quadrature layout and its prior weights live in
-kernels.py alone, and each replication-harness decision is made in one place."""
+kernels.py alone, each replication-harness decision is made in one place,
+and each argument rule is stated once."""
 
 import ast
 import inspect
@@ -11,6 +12,10 @@ from hsuq.posterior import PosteriorBatch
 
 LAYOUT_INTERNALS = {"_panel_edges", "_split_edges", "_panel_nodes", "_gauss_rule", "_prior"}
 SIGNAL_CLASSES = {"FixedValue", "NormalAround", "ThreeGroup", "FromDistribution"}
+# the message of each argument rule, and the one threshold formula
+RULE_TEXTS = ("tau must lie in", "kernel order must be one of",
+              "blow-up factor must be positive", "alpha must be in (0, 1)",
+              "kS and f must be positive", "sqrt(2.0 * math.log(1.0 /")
 
 
 def _names(tree):
@@ -61,3 +66,11 @@ def test_signal_specs_draw_and_label_themselves():
     assert scopes == {"ScenarioConfig.__post_init__"}
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint({"_signal_label", "_scale_from_arg", "_threshold_report"})
+
+
+def test_each_argument_rule_is_stated_once():
+    src = Path(hsuq.__file__).parent
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    assert {rule: text.count(rule) for rule in RULE_TEXTS} == dict.fromkeys(RULE_TEXTS, 1)
+    # the array kernels share one front, kernels._elementwise
+    assert "_as_flat" not in text and "_restore" not in text
