@@ -26,7 +26,7 @@ from .kernels import (
     posterior_variance,
     zeta,
 )
-from .posterior import PosteriorBatch
+from .posterior import _BLOCK, PosteriorBatch
 
 __all__ = [
     "CredibleBall",
@@ -104,6 +104,9 @@ def covers(intervals, theta):
 def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     """(1-alpha) quantile of ||theta - mean|| over joint posterior draws.
 
+    The draws are streamed _BLOCK rows at a time (coordinates are independent
+    given tau): each block is centered in place and its squared norms summed,
+    so memory beyond the node matrix W is O(_BLOCK x draws), with no (draws, n).
     Returns (radius, mc_se) where the standard error comes from the
     usual order-statistic asymptotics with a finite-difference density
     estimate at the quantile, over a step that stays inside (0, 1).
@@ -114,9 +117,13 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     if draws < 1000:
         raise ValueError(f"need at least 1000 draws for a stable quantile, got {draws}")
     batch = PosteriorBatch(Y, tau)
-    M = batch.draw_matrix(draws, rng)
     center = batch.means if _center is None else _center
-    dist = np.linalg.norm(M - center[None, :], axis=1)
+    sq = np.zeros(draws)
+    for lo in range(0, batch.n, _BLOCK):
+        M = batch.draw_matrix(draws, rng, slice(lo, lo + _BLOCK))
+        M -= center[lo:lo + _BLOCK]
+        sq += np.einsum("ij,ij->i", M, M)
+    dist = np.sqrt(sq)
     p = 1.0 - float(alpha)
     r = float(np.quantile(dist, p))
     h = min(float(alpha) / 2.0, p / 2.0, 0.02)
@@ -216,18 +223,23 @@ def _count_at_least(sorted_abs, thr):
     return int(sorted_abs.size - np.searchsorted(sorted_abs, thr, side="left"))
 
 
-def self_similar_check(theta0, p, A=2.0, Cs=1.0):
-    """True when at least p/Cs coordinates clear the A-scaled threshold."""
+def _exceedance_threshold(A):
+    """(n, q) -> A sqrt(2 log(n/q)), the level q of n coordinates clear (0 at q = n)."""
     if not A > 1.0:
         raise ValueError(f"need A > 1, got {A}")
+    return lambda n, q: A * math.sqrt(2.0 * math.log(n / q)) if q < n else 0.0
+
+
+def self_similar_check(theta0, p, A=2.0, Cs=1.0):
+    """True when at least p/Cs coordinates clear the A-scaled threshold."""
+    threshold = _exceedance_threshold(A)
     if not Cs >= 1.0:
         raise ValueError(f"need Cs >= 1, got {Cs}")
     a = np.sort(np.abs(_as_obs(theta0, 1)))
     n = a.size
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}")
-    thr = A * math.sqrt(2.0 * math.log(n / p)) if p < n else 0.0
-    return _count_at_least(a, thr) >= p / Cs
+    return _count_at_least(a, threshold(n, p)) >= p / Cs
 
 
 def excessive_bias_diagnostic(theta0, A=2.0, Cs=1.0, C=None):
@@ -237,8 +249,7 @@ def excessive_bias_diagnostic(theta0, A=2.0, Cs=1.0, C=None):
     C*q*log(n/q) while at least q/Cs coordinates clear it; reports the
     exceedance count p_tilde at that q.
     """
-    if not A > 1.0:
-        raise ValueError(f"need A > 1, got {A}")
+    threshold = _exceedance_threshold(A)
     if not Cs > 0.0:
         raise ValueError(f"need Cs > 0, got {Cs}")
     if C is None:
@@ -252,7 +263,7 @@ def excessive_bias_diagnostic(theta0, A=2.0, Cs=1.0, C=None):
     constants = {"A": float(A), "Cs": float(Cs), "C": float(C)}
     for q in range(1, n + 1):
         log_ratio = math.log(n / q)
-        thr = A * math.sqrt(2.0 * log_ratio) if q < n else 0.0
+        thr = threshold(n, q)
         count = _count_at_least(a, thr)
         if count < q / Cs:
             continue

@@ -373,11 +373,9 @@ def integral_Ik(y: float, tau, k) -> float:
     """
     t = _tau_value(tau)
     kk = _order_value(k)
-    yv = float(y)
-    if not math.isfinite(yv):
-        raise ValueError("y must be finite")
+    y = _as_obs(y, 1)
+    (yv,) = y.tolist()
     a = int(2.0 * kk + 1.0)
-    y = np.asarray([yv])
     tol = 1e-11
     prev = _mixture_moments(y, t, [(a, 0)])[0, 0]
     est = math.inf
@@ -572,9 +570,7 @@ def expansion_Hk(y: float, k) -> float:
     k : float or KernelOrder
     """
     kk = _order_value(k)
-    yv = float(y)
-    if not math.isfinite(yv):
-        raise ValueError("y must be finite")
+    (yv,) = _as_obs(y, 1).tolist()
     x = 0.5 * yv * yv
     if math.isinf(x):  # the panel grading below would never end
         raise ValueError(f"|y| = {abs(yv):g} is out of range: its square overflows")

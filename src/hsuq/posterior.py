@@ -163,31 +163,32 @@ class PosteriorBatch:
         c = self.means
         return self._solve(np.zeros((self.n, 1)), np.ones(1), p, c.copy(), lo, hi)
 
-    def draw_weights(self, draws, rng):
-        """(draws, n) matrix of shrinkage weights z, one row per joint draw.
+    def draw_weights(self, draws, rng, rows=slice(None)):
+        """(draws, len(rows)) shrinkage weights z of the basic slice ``rows``, one row per draw.
 
         Exact draws from the node law that ``cdf_rows`` integrates: each z is
         u_j^2 with probability W_ij, independently across draws and rows. Per
         block of _BLOCK rows, multinomial node counts are expanded into the
-        block's rows of one (n, draws) buffer and each row is shuffled in
+        block's rows of one (rows, draws) buffer and each row is shuffled in
         place, so memory stays near the output's own bytes.
         """
         draws = int(draws)
         z = self._u * self._u
-        out = np.empty((self.n, draws))
-        for lo in range(0, self.n, _BLOCK):
+        W = self._W[rows]  # a view: rows is a basic slice
+        out = np.empty((len(W), draws))
+        for lo in range(0, len(W), _BLOCK):
             blk = out[lo:lo + _BLOCK]
-            counts = rng.multinomial(draws, self._W[lo:lo + _BLOCK])
+            counts = rng.multinomial(draws, W[lo:lo + _BLOCK])
             blk[:] = np.repeat(np.tile(z, len(blk)), counts.ravel()).reshape(blk.shape)
             rng.permuted(blk, axis=1, out=blk)
         return out.T
 
-    def draw_matrix(self, draws, rng):
-        """(draws, n) posterior draws of the coordinate means."""
-        z = self.draw_weights(draws, rng)
+    def draw_matrix(self, draws, rng, rows=slice(None)):
+        """(draws, len(rows)) posterior draws of the means of the basic slice ``rows``."""
+        z = self.draw_weights(draws, rng, rows)
         # in place on z: z * Y + sqrt(z) * N with one temporary
         noise = np.sqrt(z)
         noise *= rng.standard_normal(z.shape)
-        z *= self.Y
+        z *= self.Y[rows]
         z += noise
         return z

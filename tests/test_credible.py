@@ -1,6 +1,7 @@
 """Tests for credible intervals, L2 balls, and the sparsity diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -23,7 +24,7 @@ from hsuq.credible import (
 )
 from hsuq.kernels import GlobalScale, zeta
 from hsuq.experiments import verify_theory
-from hsuq.posterior import PosteriorBatch
+from hsuq.posterior import _BLOCK, PosteriorBatch
 
 
 class TestCredibleInterval:
@@ -164,6 +165,43 @@ class TestBallRadius:
         r, se = ball_radius(np.linspace(-2.0, 3.0, 40), 0.2, 0.99, 2000,
                             np.random.default_rng(1))
         assert 0.0 < r and 0.0 < se < math.inf
+
+    def test_one_block_radius_is_the_full_matrix_radius(self):
+        # at n <= _BLOCK the stream is one draw_matrix call on all rows
+        Y = np.random.default_rng(40).standard_normal(100)
+        r, _ = ball_radius(Y, 0.05, 0.05, 2000, np.random.default_rng(6))
+        batch = PosteriorBatch(Y, 0.05)
+        M = batch.draw_matrix(2000, np.random.default_rng(6))
+        want = np.quantile(np.linalg.norm(M - batch.means, axis=1), 0.95)
+        assert r == pytest.approx(want, rel=1e-12)
+
+    def test_streamed_radius_follows_the_draw_matrix_law(self):
+        # the streamed radius against the full (draws, n) matrix of the
+        # public joint sampler, on an independent stream of the same law
+        Y = np.random.default_rng(41).standard_normal(300)
+        draws = 20_000
+        r, se = ball_radius(Y, 0.05, 0.05, draws, np.random.default_rng(42))
+        batch = PosteriorBatch(Y, 0.05)
+        M = batch.draw_matrix(draws, np.random.default_rng(43))
+        dist = np.linalg.norm(M - batch.means, axis=1)
+        want = float(np.quantile(dist, 0.95))
+        dens = float(np.quantile(dist, 0.97) - np.quantile(dist, 0.93)) / 0.04
+        want_se = math.sqrt(0.95 * 0.05 / draws) * dens
+        assert abs(r - want) <= 4.0 * math.hypot(se, want_se)
+
+    def test_streamed_ball_holds_no_draw_matrix(self):
+        # beyond the node matrix W the ball holds a few (_BLOCK, draws)
+        # buffers; the full (draws, n) draw matrix alone would be 80 MB
+        Y = np.random.default_rng(12).standard_normal(5000)
+        w_bytes = PosteriorBatch(Y, 0.01)._W.nbytes
+        draws = 2000
+        tracemalloc.start()
+        try:
+            ball_radius(Y, 0.01, 0.05, draws, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= w_bytes + 6 * _BLOCK * draws * 8
 
     def test_radius_grows_with_dimension_on_null_data(self):
         tau = GlobalScale(0.1)

@@ -11,7 +11,7 @@ from scipy.special import ndtri
 
 from hsuq.credible import covers, interval_batch
 from hsuq.kernels import posterior_mean, posterior_variance
-from hsuq.posterior import PosteriorBatch
+from hsuq.posterior import _BLOCK, PosteriorBatch
 from hsuq.tau import mmle
 
 from _oracles import marginal_cdf_quad, newton_quantile, newton_radius
@@ -343,6 +343,34 @@ class TestPosteriorBatch:
         got = batch.draw_matrix(1000, np.random.default_rng(2))
         assert np.array_equal(got, want)
         assert got.flags.f_contiguous
+
+    def test_row_slice_is_weighted_data_plus_scaled_noise(self):
+        # rows 40..299 span three sampler blocks of the slice
+        batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
+        rows = slice(40, 300)
+        rng = np.random.default_rng(2)
+        z = batch.draw_weights(1000, rng, rows)
+        want = z * batch.Y[None, rows] + np.sqrt(z) * rng.standard_normal(z.shape)
+        got = batch.draw_matrix(1000, np.random.default_rng(2), rows)
+        assert got.shape == (1000, 260)
+        assert np.array_equal(got, want)
+
+    def test_leading_block_slice_draws_the_first_block_of_all_rows(self):
+        # the sampler's first block takes the same draws from the same seed
+        batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
+        part = batch.draw_weights(500, np.random.default_rng(4), slice(0, _BLOCK))
+        full = batch.draw_weights(500, np.random.default_rng(4))
+        assert full.shape == (500, 300)
+        assert np.array_equal(part, full[:, :_BLOCK])
+
+    def test_row_slice_draws_match_cdf(self):
+        rows = slice(4, 10)
+        M = self.batch.draw_matrix(200_000, np.random.default_rng(17), rows)
+        for shift in (-1.0, 0.0, 1.0):
+            t = self.batch.means + shift
+            F = self.batch.cdf_rows(t)[rows]
+            se = np.maximum(np.sqrt(F * (1.0 - F) / M.shape[0]), 1e-9)
+            assert np.all(np.abs(np.mean(M <= t[rows], axis=0) - F) < 5.0 * se)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ SIGNAL_CLASSES = {"FixedValue", "NormalAround", "ThreeGroup", "FromDistribution"
 # the message of each argument rule, and the one threshold formula
 RULE_TEXTS = ("tau must lie in", "kernel order must be one of",
               "blow-up factor must be positive", "alpha must be in (0, 1)",
-              "kS and f must be positive", "sqrt(2.0 * math.log(1.0 /")
+              "kS and f must be positive", "sqrt(2.0 * math.log(1.0 /",
+              "value not finite", "need A > 1", "A * math.sqrt(2.0 * math.log(n / q))")
 
 
 def _names(tree):
