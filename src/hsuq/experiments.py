@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtri
 
 from .credible import (
@@ -563,6 +562,8 @@ class CheckResult:
 
 
 def _check_kernel_identity(params):
+    from scipy.integrate import quad
+
     start = time.perf_counter()
     taus = [0.01, 0.05, 0.2, 0.9]
     ys = np.linspace(0.25, 10.25, 41)
@@ -592,6 +593,8 @@ def _brute_posterior_moments(y, t):
     # the likelihood carries exp(y^2/2) so the inner slices stay O(1).
     # For tiny lambda the theta slice is a needle of width lambda*t, so
     # the inner range has to track the slice, not the full axis.
+    from scipy.integrate import IntegrationWarning, quad
+
     def moment(power):
         def slice_integral(psi):
             lam = math.tan(psi)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from .credible import CredibleBall, _intervals
@@ -364,6 +363,8 @@ def verify_hyperprior(prior, rate, Cu, c=None):
     reported, not enforced; the asymptotic statements hide constants, so
     pass/fail is the caller's judgment.
     """
+    from scipy.integrate import quad
+
     if not Cu > 0.0:
         raise ValueError(f"Cu must be positive, got {Cu}")
     if not isinstance(rate, SparsityRate):

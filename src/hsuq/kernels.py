@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "GlobalScale",
@@ -538,6 +537,8 @@ def kappa_threshold(tau) -> float:
     ValueError
         If tau > 1/e, where no solution with kappa >= sqrt(2) exists.
     """
+    from scipy.optimize import brentq
+
     t = _tau_value(tau)
     target = math.log(1.0 / t)
     if target < 1.0:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kernels import GlobalScale, _as_obs, _tau_sweep, _tau_value, log_marginal_lik, score_m
 
@@ -55,6 +54,8 @@ def mmle(Y) -> TauEstimate:
     ``at_boundary`` (the estimate is 1/n or 1) and ``local_maxima`` (grid
     sign changes of the score from positive to negative).
     """
+    from scipy.optimize import brentq
+
     arr = _as_obs(Y, 2)
     n = arr.size
     lo = 1.0 / n

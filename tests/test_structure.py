@@ -1,9 +1,13 @@
 """Structure guards: the quadrature layout and its prior weights live in
 kernels.py alone, each replication-harness decision is made in one place,
-and each argument rule is stated once."""
+each argument rule is stated once, and scipy.optimize and scipy.integrate
+load only with the calls that use them."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hsuq
@@ -75,3 +79,64 @@ def test_each_argument_rule_is_stated_once():
     assert {rule: text.count(rule) for rule in RULE_TEXTS} == dict.fromkeys(RULE_TEXTS, 1)
     # the array kernels share one front, kernels._elementwise
     assert "_as_flat" not in text and "_restore" not in text
+
+
+LAZY_MODULES = ("scipy.optimize", "scipy.integrate")
+# run in a fresh interpreter: the test modules import scipy.integrate themselves
+IMPORT_PROBE = """
+import sys
+import numpy as np
+import hsuq
+
+def loaded():
+    return [m for m in LAZY if m in sys.modules]
+
+seen = {"import": loaded()}
+Y = np.random.default_rng(0).standard_normal(300)
+hsuq.credible_ball(Y, 0.05, 0.05, 1.0, 1000, np.random.default_rng(1))
+hsuq.run_chain(Y, hsuq.HyperPrior.truncated_half_cauchy(), iters=50, burn_in=10)
+seen["ball and chain"] = loaded()
+hsuq.mmle(Y)
+seen["mmle"] = loaded()
+print(seen)
+"""
+
+
+def _child(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(hsuq.__file__).parent.parent)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def test_ball_and_hb_paths_load_no_optimizer_or_integrator():
+    out = _child("-c", f"LAZY = {LAZY_MODULES!r}\n{IMPORT_PROBE}").stdout
+    assert ast.literal_eval(out) == {
+        "import": [], "ball and chain": [], "mmle": ["scipy.optimize"]}
+    # -X importtime lists every module the command line imports on stderr
+    err = _child("-X", "importtime", "-m", "hsuq", "--help").stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
+    assert "hsuq.experiments" in imported
+    assert imported.isdisjoint(LAZY_MODULES)
+
+
+def _import_time_modules(node):
+    # modules an import statement names outside every function body
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module
+            yield from (f"{child.module}.{alias.name}" for alias in child.names)
+        yield from _import_time_modules(child)
+
+
+def test_optimizer_and_integrator_are_imported_inside_functions_only():
+    src = Path(hsuq.__file__).parent
+    offenders = {
+        path.name: sorted(m for m in _import_time_modules(ast.parse(path.read_text()))
+                          if m.startswith(LAZY_MODULES))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {k: v for k, v in offenders.items() if v} == {}
