@@ -271,8 +271,8 @@ def _mixture_moments(y: np.ndarray, tau: float, powers, splits: int = 0) -> np.n
     om = 1.0 - u * u
     fs = np.stack([w * u**a * om**b for a, b in powers])
     out = np.empty((len(powers), y2.size))
-    for lo in range(0, y2.size, _CHUNK):
-        out[:, lo:lo + _CHUNK] = fs @ _damp(y2[lo:lo + _CHUNK], u).T
+    for lo in range(0, y2.size, _CHUNK):  # row by row: no BLAS product mixing rows
+        out[:, lo:lo + _CHUNK] = np.einsum("kj,ij->ki", fs, _damp(y2[lo:lo + _CHUNK], u))
     return out
 
 

@@ -34,7 +34,8 @@ from .kernels import (
 )
 
 __all__ = ["PosteriorBatch"]
-_BLOCK = 128  # rows per evaluator block: ~1 MB temporaries at 1000 nodes
+_BLOCK = 128  # rows per sampler block
+_EVAL_BLOCK = 32  # rows per evaluator block: its temporaries stay near L2
 
 
 class PosteriorBatch:
@@ -70,23 +71,31 @@ class PosteriorBatch:
     def _evaluate(self, rows, t):
         """(F, f, f') stacked, of the listed rows at points t (rows x points).
 
-        One pass over the node matrix, in blocks of _BLOCK rows so every
-        temporary is O(_BLOCK x nodes): a = (t - y u^2)/u gives F = sum W ndtr(a)
-        and, with phi = exp(-a^2/2) / (u sqrt(2 pi)), f = sum W phi, f' = -sum W phi a/u.
+        One pass over the node matrix, in blocks of _EVAL_BLOCK rows so the
+        temporaries stay near L2: per block W/(u sqrt(2 pi)) and W/(u^2 sqrt(2 pi))
+        are formed once, and per point a = t/u - y u (= (t - y u^2)/u) gives
+        F = sum W ndtr(a) and, from one exp(-a^2/2), f = sum W phi and
+        f' = -sum W phi a/u, with phi = exp(-a^2/2) / (u sqrt(2 pi)).
         """
-        u = self._u
+        iu = 1.0 / self._u
         out = np.empty((3,) + t.shape)
-        for lo in range(0, rows.size, _BLOCK):
-            blk = slice(lo, lo + _BLOCK)
+        for lo in range(0, rows.size, _EVAL_BLOCK):
+            blk = slice(lo, lo + _EVAL_BLOCK)
             W = self._W[rows[blk]]
-            yz = np.multiply.outer(self.Y[rows[blk]], u * u)
+            Wf = W * (iu / math.sqrt(2.0 * math.pi))
+            Wd = Wf * iu
+            yu = np.multiply.outer(self.Y[rows[blk]], self._u)
+            a, e = np.empty_like(W), np.empty_like(W)
             for j in range(t.shape[1]):
-                a = (t[blk, j, None] - yz) / u
-                out[0, blk, j] = np.einsum("ij,ij->i", ndtr(a), W)
-                phi = np.exp(-0.5 * a * a) / (u * math.sqrt(2.0 * math.pi))
-                out[1, blk, j] = np.einsum("ij,ij->i", phi, W)
-                phi *= a / u
-                out[2, blk, j] = -np.einsum("ij,ij->i", phi, W)
+                np.multiply.outer(t[blk, j], iu, out=a)
+                a -= yu
+                out[0, blk, j] = np.einsum("ij,ij->i", ndtr(a, out=e), W)
+                np.multiply(a, a, out=e)
+                e *= -0.5
+                np.exp(e, out=e)
+                out[1, blk, j] = np.einsum("ij,ij->i", e, Wf)
+                e *= a
+                out[2, blk, j] = -np.einsum("ij,ij->i", e, Wd)
         return out
 
     def cdf_rows(self, t):
@@ -94,47 +103,57 @@ class PosteriorBatch:
         tt = np.broadcast_to(np.asarray(t, dtype=float), (self.n,))
         return self._evaluate(np.arange(self.n), tt[:, None])[0, :, 0]
 
-    def _solve(self, base, signs, target, x, lo, hi):
+    def _solve(self, key, base, signs, target, x, lo, hi):
         """Per-row root of the increasing g(x) = sum_j signs_j F(base_j + signs_j x) - target.
 
         g < 0 at lo and > 0 at hi, so each row's node mass must exceed the
-        target (ArithmeticError if not). One evaluator pass per iteration
-        gives g, g' and g''. Halley steps fall back to Newton when their
-        denominator is not positive, and bisect when they leave the bracket
-        or |g| did not halve since the last step. A row stops at |g| < 1e-9
-        or, at float resolution, at a one-ulp bracket, and returns its point
-        of least |g|.
+        target (ArithmeticError if not). The pilot rows (every 8th order
+        statistic of ``key`` and the largest) are solved first from ``x``;
+        every other row then starts at the pilot roots interpolated in
+        ``key`` and clipped into its bracket, and pilot rows are final. One
+        evaluator pass per iteration gives g, g' and g''. Halley steps fall
+        back to Newton when their denominator is not positive, and bisect
+        when they leave the bracket or |g| did not halve since the last
+        step. A row stops at |g| < 1e-9 or, at float resolution, at a
+        one-ulp bracket, and returns its point of least |g|.
         ``diagnostics`` counts the rows ``capped`` at 80 iterations and those
-        stopped ``at_resolution``, with the largest least |g| (``max_residual``).
+        stopped ``at_resolution``, with the largest least |g| (``max_residual``),
+        over all rows.
         """
         if np.any(self._W.sum(axis=1) - target <= 0.0):
             raise ArithmeticError("no finite root reaches the target mass")
-        idx = np.arange(self.n)
+        order = np.argsort(key, kind="stable")
+        pilot = order[np.unique(np.r_[0:self.n:8, self.n - 1])]
+        rest = np.setdiff1d(order, pilot)
         best, resid, prev = x.copy(), np.full(self.n, np.inf), np.full(self.n, np.inf)
-        stalled = 0
-        for it in range(80):
-            xi = x[idx]
-            F, f, fp = self._evaluate(idx, base[idx] + signs * xi[:, None])
-            g = F @ signs - target
-            better = np.abs(g) < resid[idx]
-            best[idx[better]], resid[idx[better]] = xi[better], np.abs(g[better])
-            lo[idx] = np.where(g < 0.0, xi, lo[idx])
-            hi[idx] = np.where(g > 0.0, xi, hi[idx])
-            live = np.abs(g) >= 1e-9
-            flat = hi[idx] - lo[idx] <= np.spacing(np.maximum(np.abs(lo[idx]), np.abs(hi[idx])))
-            stalled += int(np.count_nonzero(live & flat))
-            live &= ~flat
-            idx, xi, g, d1, d2 = idx[live], xi[live], g[live], f[live].sum(1), fp[live] @ signs
-            if idx.size == 0 or it == 79:
-                break
-            den = 2.0 * d1 * d1 - g * d2
-            with np.errstate(all="ignore"):  # a non-finite step bisects
-                x_new = xi - np.where(den > 0.0, 2.0 * g * d1 / den, g / d1)
-            bisect = ((x_new <= lo[idx]) | (x_new >= hi[idx]) | ~np.isfinite(x_new)
-                      | (np.abs(g) > 0.5 * prev[idx]))
-            prev[idx] = np.abs(g)
-            x[idx] = np.where(bisect, 0.5 * (lo[idx] + hi[idx]), x_new)
-        self.diagnostics = dict(capped=idx.size, at_resolution=stalled, max_residual=resid.max())
+        capped = stalled = 0
+        for idx in (pilot, rest):
+            if idx is rest:
+                x[rest] = np.clip(np.interp(key[rest], key[pilot], best[pilot]), lo[rest], hi[rest])
+            for it in range(80):
+                xi = x[idx]
+                F, f, fp = self._evaluate(idx, base[idx] + signs * xi[:, None])
+                g = F @ signs - target
+                better = np.abs(g) < resid[idx]
+                best[idx[better]], resid[idx[better]] = xi[better], np.abs(g[better])
+                lo[idx] = lo_i = np.where(g < 0.0, xi, lo[idx])
+                hi[idx] = hi_i = np.where(g > 0.0, xi, hi[idx])
+                live = np.abs(g) >= 1e-9
+                flat = hi_i - lo_i <= np.spacing(np.maximum(np.abs(lo_i), np.abs(hi_i)))
+                stalled += int(np.count_nonzero(live & flat))
+                live &= ~flat
+                idx, xi, g, d1, d2 = idx[live], xi[live], g[live], f[live].sum(1), fp[live] @ signs
+                if idx.size == 0 or it == 79:
+                    break
+                den = 2.0 * d1 * d1 - g * d2
+                with np.errstate(all="ignore"):  # a non-finite step bisects
+                    x_new = xi - np.where(den > 0.0, 2.0 * g * d1 / den, g / d1)
+                bisect = ((x_new <= lo[idx]) | (x_new >= hi[idx]) | ~np.isfinite(x_new)
+                          | (np.abs(g) > 0.5 * prev[idx]))
+                prev[idx] = np.abs(g)
+                x[idx] = np.where(bisect, 0.5 * (lo[idx] + hi[idx]), x_new)
+            capped += idx.size
+        self.diagnostics = dict(capped=capped, at_resolution=stalled, max_residual=resid.max())
         return best
 
     def radius_batch(self, alpha):
@@ -146,13 +165,14 @@ class PosteriorBatch:
         # at r = |y| + 10 every ndtr argument lies beyond +-10, where ndtr is
         # 1.0 or below 1e-23, so the gap there is the node mass minus the target
         hi = np.abs(self.Y) + 10.0
-        # normal-approximation start
+        # pilots start at the normal approximation; the radius is even in y: key |y|
         r = np.clip(ndtri(1.0 - alpha / 2.0) * np.sqrt(self.variances), 1e-6, hi)
         c = np.repeat(self.means[:, None], 2, axis=1)
-        return self._solve(c, np.array([1.0, -1.0]), target, r, np.zeros(self.n), hi)
+        return self._solve(np.abs(self.Y), c, np.array([1.0, -1.0]), target, r,
+                           np.zeros(self.n), hi)
 
     def quantile_rows(self, p):
-        """Per-row p-quantile of the posterior, started at the posterior mean."""
+        """Per-row p-quantile of the posterior; pilot rows start at the posterior mean."""
         p = float(p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {p}")
@@ -160,8 +180,7 @@ class PosteriorBatch:
         # ndtr is exactly 0 or 1, so F is 0 at lo and the node mass at hi
         lo = np.minimum(self.Y, 0.0) - 40.0
         hi = np.maximum(self.Y, 0.0) + 40.0
-        c = self.means
-        return self._solve(np.zeros((self.n, 1)), np.ones(1), p, c.copy(), lo, hi)
+        return self._solve(self.Y, np.zeros((self.n, 1)), np.ones(1), p, self.means.copy(), lo, hi)
 
     def draw_weights(self, draws, rng, rows=slice(None)):
         """(draws, len(rows)) shrinkage weights z of the basic slice ``rows``, one row per draw.

@@ -348,6 +348,18 @@ class TestPosteriorMoments:
         assert score_m(y.ravel(), 0.1).shape == (12,)
         assert isinstance(posterior_mean(1.0, 0.1), float)
 
+    def test_mean_is_row_local(self):
+        # zeros beside y = 1 leave the layout as it is; a BLAS product gave
+        # ...388, ...385 or ...3844 by position and length, so the moment
+        # contraction must not mix rows
+        means = set()
+        for n in range(1, 13):
+            for pos in range(n):
+                y = np.zeros(n)
+                y[pos] = 1.0
+                means.add(float(posterior_mean(y, 0.0625)[pos]))
+        assert means == {posterior_mean(1.0, 0.0625)}
+
 
 class TestKappaThreshold:
     def test_defining_identity(self):

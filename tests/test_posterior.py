@@ -404,6 +404,23 @@ def mass_residual(batch, r, alpha):
     return np.abs(batch.cdf_rows(c + r) - batch.cdf_rows(c - r) - (1.0 - alpha))
 
 
+def evaluated_rows(batch, solve):
+    """Row evaluations made by the batch's evaluator during ``solve()``."""
+    rows = []
+    evaluate = PosteriorBatch._evaluate
+
+    def counting(self, idx, t):
+        rows.append(idx.size)
+        return evaluate(self, idx, t)
+
+    batch._evaluate = counting.__get__(batch)
+    try:
+        solve()
+    finally:
+        del batch._evaluate
+    return sum(rows)
+
+
 class TestSolver:
     """The fused Halley solver against the two-pass Newton it replaced."""
 
@@ -460,20 +477,27 @@ class TestSolver:
         for step in (-1, 1):
             assert np.all(mass_residual(batch, r + step * np.spacing(r), 0.5) >= res)
 
+    def test_stops_at_float_resolution_in_both_stages(self):
+        # 12 such rows: 3 pilots, and 9 rows started at the pilots' best radius
+        batch = PosteriorBatch([6.5, -6.5] * 6, 1e-8)
+        r = batch.radius_batch(0.5)
+        d = batch.diagnostics
+        assert d["capped"] == 0 and d["at_resolution"] == 12
+        assert d["max_residual"] == np.max(mass_residual(batch, r, 0.5))
+
     def test_work_count(self):
         # deterministic guard on the evaluator work: row evaluations per
-        # solve; the two-pass Newton took about 6 n on this input
+        # solve; the two-pass Newton took about 6 n on this input, the
+        # normal-approximation start for every row 2.96 n
         batch = eb_batch(4)
-        rows = []
-        evaluate = PosteriorBatch._evaluate
+        assert evaluated_rows(batch, lambda: batch.radius_batch(0.05)) <= 2.4 * batch.n
 
-        def counting(self, idx, t):
-            rows.append(idx.size)
-            return evaluate(self, idx, t)
-
-        batch._evaluate = counting.__get__(batch)
-        batch.radius_batch(0.05)
-        assert sum(rows) <= 3.5 * batch.n
+    @pytest.mark.parametrize("p", [0.025, 0.975])
+    def test_quantile_work_count(self, p):
+        # the posterior-mean start for every row took 5.96 n and 6.06 n
+        # here; pilot-interpolated starts take 2.58 n
+        batch = eb_batch(4)
+        assert evaluated_rows(batch, lambda: batch.quantile_rows(p)) <= 3.0 * batch.n
 
     def test_memory_stays_in_row_blocks(self):
         batch = eb_batch(5, n=5000)
@@ -485,3 +509,40 @@ class TestSolver:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * batch._W.nbytes
+
+
+# layouts where the pilot stage (every 8th order statistic of the key and
+# the largest) meets ties, sign pairs, few rows or one far row
+PILOT_LAYOUTS = {
+    "one row": [1.3],
+    "under eight rows": [0.2, 2.5, -4.0, 1.1, -0.7, 6.0, 3.3],
+    "all equal": [1.7] * 20,
+    "sign pairs and ties": [2.5, -2.5, 2.5, 0.3, -0.3, 0.3, 2.5, -2.5, 1.0, 1.0,
+                            -1.0, 0.0, 0.0, 4.0, -4.0, 4.0, -4.0, 4.0, 0.3, -0.3],
+    "zeros and one far row": [0.0] * 19 + [50.0],
+}
+
+
+class TestPilotStage:
+    """Rows solved from pilot-interpolated starts against one-row batches."""
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.05, 0.4])
+    @pytest.mark.parametrize("layout", PILOT_LAYOUTS)
+    def test_radii_match_one_row_batches(self, layout, tau):
+        batch = PosteriorBatch(PILOT_LAYOUTS[layout], tau)
+        r = batch.radius_batch(0.05)
+        d = batch.diagnostics
+        assert d["capped"] == d["at_resolution"] == 0
+        assert d["max_residual"] == np.max(mass_residual(batch, r, 0.05))
+        assert_allclose(r, [one(y, tau).radius_batch(0.05)[0] for y in batch.Y], atol=1e-7)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.05, 0.4])
+    @pytest.mark.parametrize("layout", PILOT_LAYOUTS)
+    def test_quantiles_match_one_row_batches(self, layout, tau):
+        batch = PosteriorBatch(PILOT_LAYOUTS[layout], tau)
+        for p in (0.025, 0.975):
+            q = batch.quantile_rows(p)
+            d = batch.diagnostics
+            assert d["capped"] == d["at_resolution"] == 0
+            assert d["max_residual"] == np.max(np.abs(batch.cdf_rows(q) - p))
+            assert_allclose(q, [one(y, tau).quantile_rows(p)[0] for y in batch.Y], atol=1e-7)
