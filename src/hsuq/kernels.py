@@ -31,9 +31,11 @@ exponentiated I values, so they cannot overflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp1f1
 
 __all__ = [
     "GlobalScale",
@@ -190,10 +192,13 @@ def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
     Geometric gradation toward u = 0 at the scale of the rational knee
     (u ~ tau) and toward u = 1 at the scale of the exponential layer
     (1 - u ~ 1/y^2). The layer needs y^2 finite, which holds for
-    |y| < 1.34e154; a larger y raises ValueError.
+    |y| < 1.34e154, and the knee needs tau^2 normal, which holds for
+    tau >= 1.49e-154; outside either range it raises ValueError.
     """
     if not math.isfinite(y_abs_max * y_abs_max):
         raise ValueError(f"|y| = {y_abs_max:g} is out of range: its square overflows")
+    if tau * tau < sys.float_info.min:
+        raise ValueError(f"tau = {tau:g} is out of range: its square underflows")
     pts = [0.0, 0.5, 1.0]
     if tau < 0.4:
         e = tau / 8.0
@@ -205,23 +210,6 @@ def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
         pts.append(1.0 - t)
         t *= 2.0
     return np.unique(np.asarray(pts, dtype=float))
-
-
-def _panel_nodes(edges: np.ndarray):
-    """Map the Gauss-Legendre rule onto every panel; flat arrays."""
-    x, w = _GAUSS_RULE
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    half = 0.5 * (b - a)
-    u = (0.5 * (a + b) + half * x[None, :]).ravel()
-    wt = (half * w[None, :]).ravel()
-    return u, wt
-
-
-def _prior(tau, u, wt=1.0):
-    """Prior factor 2 wt / (tau^2 + (1 - tau^2) u^2); one row per tau of an array."""
-    t2 = np.square(tau)[..., None]
-    return 2.0 * wt / (t2 + (1.0 - t2) * u * u)
 
 
 def _damp(y2, u):
@@ -236,14 +224,21 @@ def _layout(tau, y_abs_max: float, splits: int = 0):
 
     Panels graded for min(tau) and y_abs_max and halved ``splits`` times
     carry _GAUSS_ORDER nodes each; the weights are Gauss weights times the
-    prior factor, one row per tau for an array of taus. A row y of the
-    integrand is then ``weights * _damp(y^2, u)``.
+    prior factor 2 / (tau^2 + (1 - tau^2) u^2), one row per tau for an
+    array of taus. A row y of the integrand is then
+    ``weights * _damp(y^2, u)``. No other code maps _GAUSS_RULE onto panels.
     """
     edges = _panel_edges(float(np.min(tau)), y_abs_max)
     for _ in range(splits):
         edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    u, wt = _panel_nodes(edges)
-    return u, _prior(tau, u, wt)
+    x, w = _GAUSS_RULE
+    a = edges[:-1][:, None]
+    b = edges[1:][:, None]
+    half = 0.5 * (b - a)
+    u = (0.5 * (a + b) + half * x[None, :]).ravel()
+    wt = (half * w[None, :]).ravel()
+    t2 = np.square(tau)[..., None]
+    return u, 2.0 * wt / (t2 + (1.0 - t2) * u * u)
 
 
 def _mixture_moments(y: np.ndarray, tau: float, powers, splits: int = 0) -> np.ndarray:
@@ -555,13 +550,15 @@ def kappa_threshold(tau) -> float:
 def expansion_Hk(y: float, k) -> float:
     """Normalized incomplete exponential integral used in tail expansions.
 
-    Computes H_k(y) = (y^2/2)^(-k) int_c^{y^2/2} v^(k-1) e^v dv with c = 0
+    Computes H_k(y) = x^(-k) int_c^x v^(k-1) e^v dv at x = y^2/2, with c = 0
     for k > 0 and c = 1 otherwise. For large y^2 the value approaches
-    exp(y^2/2) / (y^2/2) with relative deviation O(1/y^2).
+    exp(x) / x with relative deviation O(1/y^2).
 
-    The integral is evaluated after the substitution v = w^2 (which removes
-    the v^(k-1/2)-type endpoint behavior for the half-integer orders) with
-    the factor exp(max(v)) pulled out, on panels graded into the peak.
+    Closed form through Kummer's function M(a, b, x) = 1F1(a; b; x): the
+    antiderivative of v^(k-1) e^v is x^k M(k, k+1, x) / k (DLMF 8.5, 13.2),
+    so H_k = M(k, k+1, x) / k for k > 0 and
+    H_k = (M(k, k+1, x) - x^(-k) M(k, k+1, 1)) / k for k < 0. Within 1e-14
+    relative of a 30-digit quadrature on |y| in [1e-3, 37] (tested).
 
     Parameters
     ----------
@@ -569,42 +566,27 @@ def expansion_Hk(y: float, k) -> float:
         Must be nonzero when k < 0 (the lower limit is c = 1 there and the
         prefactor is singular at 0).
     k : float or KernelOrder
+
+    Raises
+    ------
+    ValueError
+        If y = 0 for k < 0, or if y^2 overflows.
+    OverflowError
+        If H_k(y) overflows float64, for |y| above about 37.8.
     """
     kk = _order_value(k)
     (yv,) = _as_obs(y, 1).tolist()
     x = 0.5 * yv * yv
-    if math.isinf(x):  # the panel grading below would never end
+    if math.isinf(x):
         raise ValueError(f"|y| = {abs(yv):g} is out of range: its square overflows")
-    if kk < 0.0:
-        if yv == 0.0:
-            raise ValueError("y must be nonzero for negative orders")
-        c = 1.0
-    else:
-        c = 0.0
-        if x == 0.0:
-            # Continuous limit: int_0^x v^(k-1) e^v dv ~ x^k / k as x -> 0.
-            return 1.0 / kk
-    if x == c:
-        return 0.0
-    lo, hi = (math.sqrt(c), math.sqrt(x)) if x > c else (math.sqrt(x), math.sqrt(c))
-    sign = 1.0 if x > c else -1.0
-    # 2 int_lo^hi w^(2k-1) exp(w^2) dw, with exp(hi^2) factored out.
-    width = hi - lo
-    scale = min(width, 1.0 / (1.0 + 2.0 * hi)) / 8.0
-    pts = [0.0, width]
-    e = scale
-    while e < width:
-        pts.append(e)
-        e *= 2.0
-    if kk < 0 and lo > 0.0:
-        # Negative orders also peak at the lower endpoint; grade panels
-        # geometrically away from it so w^(2k-1) is resolved when lo is tiny.
-        e = lo
-        while e < width:
-            pts.append(width - e)
-            e *= 2.0
-    edges = np.unique(np.asarray(pts))
-    tnod, wt = _panel_nodes(edges)
-    w = hi - tnod
-    integ = 2.0 * np.sum(wt * w ** (2.0 * kk - 1.0) * np.exp(w * w - hi * hi))
-    return sign * math.exp(hi * hi) * x ** (-kk) * float(integ)
+    if kk < 0.0 and yv == 0.0:
+        raise ValueError("y must be nonzero for negative orders")
+    h = math.inf  # beyond x = 720, H_k > 1e309 at every order, and hyp1f1 can stall
+    if x <= 720.0:
+        m = float(hyp1f1(kk, kk + 1.0, x))
+        if kk < 0.0:  # the antiderivative taken from 1, not from 0
+            m -= x ** -kk * float(hyp1f1(kk, kk + 1.0, 1.0))
+        h = m / kk
+    if not math.isfinite(h):
+        raise OverflowError(f"H_{kk:g}(y) overflows float64 at |y| = {abs(yv):g}")
+    return h

@@ -114,8 +114,9 @@ class PosteriorBatch:
         evaluator pass per iteration gives g, g' and g''. Halley steps fall
         back to Newton when their denominator is not positive, and bisect
         when they leave the bracket or |g| did not halve since the last
-        step. A row stops at |g| < 1e-9 or, at float resolution, at a
-        one-ulp bracket, and returns its point of least |g|.
+        step. A row stops once |g| < 1e-9 and its Newton step |g| / g' < 1e-9,
+        or, at float resolution, at a one-ulp bracket, and returns its point
+        of least |g|.
         ``diagnostics`` counts the rows ``capped`` at 80 iterations and those
         stopped ``at_resolution``, with the largest least |g| (``max_residual``),
         over all rows.
@@ -138,11 +139,12 @@ class PosteriorBatch:
                 best[idx[better]], resid[idx[better]] = xi[better], np.abs(g[better])
                 lo[idx] = lo_i = np.where(g < 0.0, xi, lo[idx])
                 hi[idx] = hi_i = np.where(g > 0.0, xi, hi[idx])
-                live = np.abs(g) >= 1e-9
+                d1 = f.sum(1)
+                live = np.abs(g) >= 1e-9 * np.minimum(d1, 1.0)
                 flat = hi_i - lo_i <= np.spacing(np.maximum(np.abs(lo_i), np.abs(hi_i)))
                 stalled += int(np.count_nonzero(live & flat))
                 live &= ~flat
-                idx, xi, g, d1, d2 = idx[live], xi[live], g[live], f[live].sum(1), fp[live] @ signs
+                idx, xi, g, d1, d2 = idx[live], xi[live], g[live], d1[live], fp[live] @ signs
                 if idx.size == 0 or it == 79:
                     break
                 den = 2.0 * d1 * d1 - g * d2

@@ -128,6 +128,14 @@ def quad_H(y, k):
     return x ** (-k) * val
 
 
+def mp_H(y, k, dps=30):
+    """The incomplete exponential ratio by mp.quad at ``dps`` digits."""
+    with mp.workdps(dps):
+        x = mp.mpf(y) ** 2 / 2
+        c = 0 if k > 0 else 1
+        return float(x ** -k * mp.quad(lambda v: v ** (k - 1) * mp.exp(v), [c, x]))
+
+
 def grid_mmle(y, n_grid=10_000):
     """Exhaustive-grid maximizer of the marginal likelihood in tau.
 

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hsuq import kernels
+from hsuq.credible import interval_batch
 from hsuq.kernels import (
     KERNEL_ORDERS,
     SCORE_UPPER_BOUND,
@@ -32,10 +33,12 @@ from hsuq.kernels import (
     score_m,
     zeta,
 )
+from hsuq.posterior import PosteriorBatch
 
 from _oracles import (
     kappa_bisect,
     midpoint_Ik,
+    mp_H,
     mp_posterior_central,
     nested_posterior_central4,
     nested_posterior_moments,
@@ -161,6 +164,27 @@ def test_huge_observations_raise_in_time():
     lines = proc.stdout.splitlines()
     assert len(lines) == 24
     assert [line for line in lines if not line.endswith("ValueError")] == []
+
+
+def test_tiny_tau_raises_below_the_normal_range():
+    # the prior factor divides by tau^2 + (1 - tau^2) u^2, which underflows
+    # once tau^2 is subnormal; just above that floor the answers hold
+    calls = {
+        "integral_Ik": lambda t: integral_Ik(3.0, t, 0.5),
+        "log_integral_Ik": lambda t: log_integral_Ik([0.0, 3.0], t, 0.5),
+        "log_marginal_lik": lambda t: log_marginal_lik([0.0, 3.0], t),
+        "PosteriorBatch": lambda t: PosteriorBatch([0.0, 3.0, 50.0], t),
+        "interval_batch": lambda t: interval_batch([0.0, 3.0, 50.0], t, 0.05),
+    }
+    for name in ("marginal_density", "log_marginal_density", "score_m", "posterior_mean",
+                 "posterior_variance", "posterior_fourth_central"):
+        calls[name] = lambda t, f=getattr(kernels, name): f(np.array([0.0, 3.0]), t)
+    for tau in [1e-160, 1e-300]:
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"^tau = {tau:g} is out of range"):
+                call(tau)
+    tau = 1.5e-154
+    assert_allclose(posterior_mean(3.0, tau) / tau, 22.531090747579636, rtol=1e-14)
 
 
 class TestMarginalDensity:
@@ -412,7 +436,20 @@ class TestExpansionHk:
     def test_negative_order_small_argument_limit(self):
         # For k = -1/2 the small-y limit is -2 (lower-endpoint dominated).
         assert_allclose(expansion_Hk(1e-4, -0.5), -2.0, atol=1e-3)
-        assert_allclose(expansion_Hk(1e-3, -0.5), -2.0002917728438185, rtol=1e-10)
+        assert_allclose(expansion_Hk(1e-3, -0.5), -2.00029177284393879, rtol=1e-14)
+
+    @pytest.mark.parametrize("k", KERNEL_ORDERS)
+    def test_mpmath_atlas(self, k):
+        for y in [1e-3, 0.1, 0.5, 1.0, 1.2, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 37.0]:
+            assert_allclose(expansion_Hk(y, k), mp_H(y, k), rtol=1e-14)
+
+    def test_finite_up_to_overflow(self):
+        # exp(x) / x at x = 714.42 is still below the largest float
+        assert math.isfinite(expansion_Hk(37.8, 0.5))
+        for y in [37.9, 1e10, 1e150]:
+            with pytest.raises(OverflowError) as info:
+                expansion_Hk(y, 0.5)
+            assert str(info.value).endswith(f"at |y| = {y:g}")
 
     def test_large_argument_leading_order(self):
         x = 50.0

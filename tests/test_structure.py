@@ -1,7 +1,8 @@
 """Structure guards: the quadrature layout and its prior weights live in
-kernels.py alone, each replication-harness decision is made in one place,
-each argument rule is stated once, and scipy.optimize and scipy.integrate
-load only with the calls that use them."""
+kernels.py alone, where only kernels._layout maps the Gauss rule, each
+replication-harness decision is made in one place, each argument rule is
+stated once, and scipy.optimize and scipy.integrate load only with the
+calls that use them."""
 
 import ast
 import inspect
@@ -33,6 +34,23 @@ def _names(tree):
             yield node.name
 
 
+def _scoped_nodes(node, scope=""):
+    # (enclosing qualified name, node) of every node below a module or body
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, f"{scope}{child.name}.")
+            continue
+        yield scope.rstrip("."), child
+        yield from _scoped_nodes(child, scope)
+
+
+def _read_name(node):
+    # the name that a Name load or an attribute access reads, else None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
 def test_only_kernels_knows_the_panel_layout():
     src = Path(hsuq.__file__).parent
     offenders = {
@@ -40,6 +58,14 @@ def test_only_kernels_knows_the_panel_layout():
         for path in sorted(src.glob("*.py")) if path.name != "kernels.py"
     }
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_only_layout_maps_the_gauss_rule():
+    src = Path(hsuq.__file__).parent
+    scopes = {(path.name, scope) for path in sorted(src.glob("*.py"))
+              for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+              if _read_name(node) == "_GAUSS_RULE"}
+    assert scopes == {("kernels.py", "_layout")}
 
 
 def test_posterior_batch_takes_no_layout_argument():
@@ -52,22 +78,12 @@ def test_posterior_batch_has_one_sampler():
         assert not hasattr(PosteriorBatch, name)
 
 
-def _isinstance_sites(node, scope=""):
-    # (enclosing qualified name, class names) of every isinstance call
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _isinstance_sites(child, f"{scope}{child.name}.")
-            continue
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                and child.func.id == "isinstance"):
-            yield scope.rstrip("."), set(_names(child.args[1]))
-        yield from _isinstance_sites(child, scope)
-
-
 def test_signal_specs_draw_and_label_themselves():
     # only config validation asks which signal class it holds
     tree = ast.parse(Path(experiments.__file__).read_text())
-    scopes = {scope for scope, names in _isinstance_sites(tree) if names & SIGNAL_CLASSES}
+    scopes = {scope for scope, node in _scoped_nodes(tree)
+              if isinstance(node, ast.Call) and _read_name(node.func) == "isinstance"
+              and SIGNAL_CLASSES.intersection(_names(node.args[1]))}
     assert scopes == {"ScenarioConfig.__post_init__"}
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint({"_signal_label", "_scale_from_arg", "_threshold_report"})
