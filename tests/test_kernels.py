@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -44,6 +45,7 @@ from _oracles import (
     nested_posterior_moments,
     quad_H,
     series_H_half,
+    theta_prior,
 )
 
 
@@ -464,6 +466,38 @@ class TestExpansionHk:
         assert_allclose(expansion_Hk(0.0, 1.5), 1.0 / 1.5, rtol=1e-14)
         with pytest.raises(ValueError):
             expansion_Hk(0.0, -0.5)
+
+
+class TestThetaPrior:
+    """The closed-form marginal prior p(theta) = e^x E1(x) / (tau sqrt(2 pi^3))."""
+
+    LOG_NORM = 0.5 * math.log(2.0 * math.pi**3)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01, 1e-4])
+    def test_matches_quadrature_over_the_local_scale(self, tau):
+        # theta / tau from 1e-3 to 3e5 reaches both sides of the series switch
+        theta = np.concatenate([tau * np.array([1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 37.0, 38.0, 100.0]),
+                                [0.7, 5.0, 30.0]])
+        got = np.exp(kernels._log_prior(theta, tau))
+        assert_allclose(got, [theta_prior(t, tau) for t in theta], rtol=1e-13)
+
+    def test_continuous_across_the_series_switch(self):
+        # e^x E1(x) from exp1 up to x = 700 and from its asymptotic series
+        # above, each within a few ulp of 40-digit mpmath on both sides
+        tau = 0.3
+        x = 700.0 * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
+        got = np.exp(kernels._log_prior(tau * np.sqrt(2.0 * x), tau) + math.log(tau) + self.LOG_NORM)
+        with mp.workdps(40):
+            want = [float(mp.exp(mp.mpf(v)) * mp.e1(mp.mpf(v))) for v in x]
+        assert_allclose(got, want, rtol=5e-15)
+        # no step at the switch: the neighbours' ratio is mpmath's
+        assert abs(got[3] / got[2] - want[3] / want[2]) < 5e-15
+
+    def test_even_and_decreasing_in_theta(self):
+        theta = np.geomspace(1e-12, 1e6, 200)
+        lp = kernels._log_prior(theta, 0.2)
+        assert np.array_equal(lp, kernels._log_prior(-theta, 0.2))
+        assert np.all(np.diff(lp) < 0.0)
 
 
 class TestTypes:

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from hsuq.credible import covers, interval_batch
-from hsuq.kernels import posterior_mean, posterior_variance
+from hsuq.kernels import marginal_density, posterior_mean, posterior_variance
 from hsuq.posterior import _BLOCK, PosteriorBatch
 from hsuq.tau import mmle
 
-from _oracles import marginal_cdf_quad, newton_quantile, newton_radius
+from _oracles import ThetaPosterior, marginal_cdf_quad, newton_quantile, newton_radius
 
 # one (y, tau) pair per regime: observation far below, near, and far
 # above the threshold scale sqrt(2 log(1/tau))
@@ -97,6 +97,8 @@ class TestCdf:
         post = one(3.0, 0.1)
         assert cdf1(post, -40.0) < 1e-12
         assert cdf1(post, 43.0) > 1.0 - 1e-12
+        assert cdf1(post, -math.inf) == 0.0
+        assert cdf1(post, math.inf) == cdf1(post, 43.0)
 
     def test_against_quadrature_oracle(self):
         for y, tau in [(0.0, 0.1), (3.0, 0.1), (-2.5, 0.5)]:
@@ -301,20 +303,22 @@ class TestPosteriorBatch:
                 assert abs(np.mean(M[:, i] <= t) - F) < 5 * se
 
     def test_construction_holds_one_node_matrix(self):
-        # W is damped, weighted and normalised in place: no second or
-        # third (n, nodes) temporary during construction
-        Y = np.random.default_rng(12).standard_normal(5000)
+        # W is built on first use, damped, weighted and normalised in place:
+        # no second or third (n, nodes) temporary while it is built
+        batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
         tracemalloc.start()
         try:
-            batch = PosteriorBatch(Y, 0.01)
+            W = batch._W
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * batch._W.nbytes
+        assert peak <= 1.25 * W.nbytes
 
     def test_draws_hold_one_output_matrix(self):
         # node counts are expanded and shuffled in place, block by block
+        # (W is built before the window: the first draw would build it)
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
+        batch._W
         tracemalloc.start()
         try:
             z = batch.draw_weights(2000, np.random.default_rng(1))
@@ -325,8 +329,9 @@ class TestPosteriorBatch:
 
     def test_draw_matrix_holds_three_output_matrices(self):
         # the weights, the noise and the normal draws; z * Y + sqrt(z) * N
-        # is formed in place on the weights
+        # is formed in place on the weights (W is built before the window)
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
+        batch._W
         tracemalloc.start()
         try:
             M = batch.draw_matrix(2000, np.random.default_rng(1))
@@ -377,6 +382,75 @@ class TestPosteriorBatch:
             PosteriorBatch(np.array([]), 0.1)
         with pytest.raises(ValueError):
             PosteriorBatch(np.array([1.0, math.nan]), 0.1)
+
+
+class TestThetaLaw:
+    """The solvers' theta law against independent references, and its costs."""
+
+    @pytest.mark.parametrize("tau", [0.9, 0.5])
+    def test_radii_and_cdf_match_theta_quadrature(self, tau):
+        # the z node law missed these radii by up to 9.9e-6 (tau 0.9, y -3.0)
+        ys = np.array([-8.0, -3.0, -1.2, 0.0, 0.4, 2.2, 3.23, 5.0, 8.0])
+        batch = PosteriorBatch(ys, tau)
+        refs = [ThetaPosterior(y, tau) for y in ys]
+        want = np.array([ref.radius(0.05) for ref in refs])
+        assert_allclose(batch.radius_batch(0.05), want, atol=1e-8, rtol=0)
+        for side in (-1.0, 1.0):
+            t = np.array([ref.mean for ref in refs]) + side * want
+            assert_allclose(batch.cdf_rows(t), [ref.cdf(x) for ref, x in zip(refs, t)],
+                            atol=1e-8, rtol=0)
+
+    def test_normaliser_is_the_marginal_density(self):
+        Y = np.array([-30.0, -4.0, 0.0, 0.3, 2.5, 9.0, 37.0])
+        for tau in (1.0, 0.3, 0.01, 1e-4):
+            scale = PosteriorBatch(Y, tau)._law["scale"]
+            assert_allclose(np.exp(scale) / math.sqrt(2.0 * math.pi), marginal_density(Y, tau),
+                            rtol=5e-14)
+
+    def test_sampler_law_stays_near_the_solver_law(self):
+        # one posterior law, two discretisations: the z node law that the
+        # sampler draws misses the theta law by at most 1.23e-4, next to
+        # theta = 0, where its nodes resolve the prior's log singularity
+        # only to their spacing, and by at most 2.7e-7 for |t| >= 0.05
+        near = np.geomspace(1e-7, 1.0, 1000)
+        worst = worst_away = 0.0
+        for y, tau in REGIME_GRID + [(y, 0.9) for y, _ in REGIME_GRID]:
+            t = np.concatenate([-near, near, np.linspace(min(y, 0.0) - 6, max(y, 0.0) + 6, 2401)])
+            post = one(y, tau)
+            u, W = post._u, post._W[0]
+            F = post._evaluate(np.zeros(1, dtype=int), t[None, :])[0, 0]
+            gap = np.abs(F - ndtr((t[:, None] - y * u * u) / u) @ W)
+            worst = max(worst, gap.max())
+            worst_away = max(worst_away, gap[np.abs(t) >= 0.05].max())
+        assert worst <= 1.5e-4
+        assert worst_away <= 5e-7
+
+    def test_each_discretisation_is_built_on_first_use(self):
+        Y = np.linspace(-3.0, 3.0, 50)
+        solved = PosteriorBatch(Y, 0.1)
+        solved.radius_batch(0.05), solved.quantile_rows(0.5), solved.cdf_rows(0.0)
+        assert "_law" in vars(solved) and "_W" not in vars(solved)
+        drawn = PosteriorBatch(Y, 0.1)
+        drawn.draw_matrix(100, np.random.default_rng(0))
+        assert "_W" in vars(drawn) and "_law" not in vars(drawn)
+
+    def test_work_per_row_does_not_grow_with_the_spread_of_y(self):
+        # a row holds the core panels and the unit panels within 10 of its
+        # own y, never the span of Y: a far row costs what a near one does
+        peaks = []
+        for far in (50.0, 1e4):
+            batch = PosteriorBatch([0.0] * 19 + [far], 0.05)
+            batch.means, batch.variances
+            tracemalloc.start()
+            try:
+                batch.radius_batch(0.05)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+        # far out the posterior is N(y, 1) to O(1 / y^2)
+        r = PosteriorBatch([0.0] * 19 + [1e6], 0.05).radius_batch(0.05)
+        assert abs(r[-1] - ndtri(0.975)) < 1e-9
 
 
 class TestCdfImpliedMean:

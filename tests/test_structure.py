@@ -1,5 +1,6 @@
 """Structure guards: the quadrature layout and its prior weights live in
-kernels.py alone, where only kernels._layout maps the Gauss rule, each
+kernels.py alone, where only kernels._layout maps the Gauss rule (the
+theta panels too: posterior.py names neither ndtr nor the rule), each
 replication-harness decision is made in one place, each argument rule is
 stated once, and scipy.optimize and scipy.integrate load only with the
 calls that use them."""
@@ -66,6 +67,14 @@ def test_only_layout_maps_the_gauss_rule():
               for scope, node in _scoped_nodes(ast.parse(path.read_text()))
               if _read_name(node) == "_GAUSS_RULE"}
     assert scopes == {("kernels.py", "_layout")}
+
+
+def test_posterior_solvers_use_no_z_evaluator_or_gauss_rule():
+    # the solvers integrate the theta panels that kernels.py builds
+    import hsuq.posterior
+
+    names = set(_names(ast.parse(Path(hsuq.posterior.__file__).read_text())))
+    assert names.isdisjoint({"ndtr", "_GAUSS_RULE", "_EVAL_BLOCK"})
 
 
 def test_posterior_batch_takes_no_layout_argument():
