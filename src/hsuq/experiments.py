@@ -561,10 +561,9 @@ class CheckResult:
     notes: str = ""
 
 
-def _check_kernel_identity(params):
+def _check_kernel_identity():
     from scipy.integrate import quad
 
-    start = time.perf_counter()
     taus = [0.01, 0.05, 0.2, 0.9]
     ys = np.linspace(0.25, 10.25, 41)
     worst = 0.0
@@ -579,13 +578,8 @@ def _check_kernel_identity(params):
     for t in taus:
         total = quad(lambda y: marginal_density(y, t), -np.inf, np.inf, limit=200)[0]
         norm_defect = max(norm_defect, abs(total - 1.0))
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-5 and norm_defect <= 1e-8 and elapsed < 10.0
-    return CheckResult(
-        "kernel-identity", passed,
-        {"max_rel_error": worst, "max_norm_defect": norm_defect, "runtime_s": elapsed},
-        "derivative identity on a 41x4 grid plus density normalization",
-    )
+    return (worst <= 1e-5 and norm_defect <= 1e-8,
+            {"max_rel_error": worst, "max_norm_defect": norm_defect})
 
 
 def _brute_posterior_moments(y, t):
@@ -627,8 +621,7 @@ def _brute_posterior_moments(y, t):
     return m1, m2 - m1 * m1
 
 
-def _check_oracle_moments(params):
-    start = time.perf_counter()
+def _check_oracle_moments():
     ys = [0.0, 0.8, 2.0, 4.0, 6.0]
     taus = [0.02, 0.05, 0.1, 0.3, 0.7]
     worst = 0.0
@@ -645,17 +638,11 @@ def _check_oracle_moments(params):
         emp = float(np.mean(draws <= t))
         se = math.sqrt(F * (1.0 - F) / draws.size)
         worst_z = max(worst_z, abs(emp - F) / se)
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-6 and worst_z <= 4.0
-    return CheckResult(
-        "oracle-moments", passed,
-        {"max_moment_error": worst, "max_cdf_zscore": worst_z, "runtime_s": elapsed},
-        "brute-force 2-D quadrature on a 5x5 grid; 1e7-draw empirical CDF",
-    )
+    return (worst <= 1e-6 and worst_z <= 4.0,
+            {"max_moment_error": worst, "max_cdf_zscore": worst_z})
 
 
-def _check_score_bounds(params):
-    t_ref = float(params.get("tau", 1e-4))
+def _check_score_bounds(tau):
     ys = np.linspace(0.0, 30.0, 301)
     taus = np.geomspace(1e-6, 1.0, 41)
     lo = hi = 0.0
@@ -665,9 +652,9 @@ def _check_score_bounds(params):
         hi = max(hi, float(vals.max()))
     grid = np.linspace(0.0, 20.0, 201)
     monotone = bool(np.all(np.diff(score_m(grid, 0.05)) >= -1e-12))
-    origin_ratio = float(score_m(0.0, t_ref) / (-2.0 * t_ref / math.pi))
-    zt = zeta(t_ref)
-    zeta_ratio = float(score_m(zt, t_ref) * math.pi * zt * zt / 2.0)
+    origin_ratio = float(score_m(0.0, tau) / (-2.0 * tau / math.pi))
+    zt = zeta(tau)
+    zeta_ratio = float(score_m(zt, tau) * math.pi * zt * zt / 2.0)
     passed = (
         lo >= -1.0 - 1e-12
         and hi <= SCORE_UPPER_BOUND
@@ -675,58 +662,33 @@ def _check_score_bounds(params):
         and 0.95 <= origin_ratio <= 1.05
         and 0.85 <= zeta_ratio <= 1.15
     )
-    return CheckResult(
-        "score-bounds", passed,
-        {"min_score": lo, "max_score": hi, "origin_ratio": origin_ratio,
-         "zeta_ratio": zeta_ratio, "monotone": float(monotone)},
-        "the threshold-scale ratio converges at a log rate and sits near 1.19 "
-        "at tau=1e-4, outside the asymptotic band [0.85, 1.15]",
-    )
+    return passed, {"min_score": lo, "max_score": hi, "origin_ratio": origin_ratio,
+                    "zeta_ratio": zeta_ratio, "monotone": float(monotone)}
 
 
-def _check_radius_bound(params):
-    start = time.perf_counter()
-    n = int(params.get("n", 5000))
-    t = float(params.get("tau", 0.01))
-    alpha = float(params.get("alpha", 0.05))
-    draws = int(params.get("draws", 2000))
-    reps = int(params.get("reps", 50))
-    bound = 0.5 * math.sqrt(n * t * zeta(t))
+def _check_radius_bound(n, tau, alpha, draws, reps):
+    bound = 0.5 * math.sqrt(n * tau * zeta(tau))
     hits = 0
     for rep in range(reps):
         rng = np.random.default_rng([7, rep])
         Y = rng.standard_normal(n)
-        r, _ = ball_radius(Y, GlobalScale(t), alpha, draws, rng)
+        r, _ = ball_radius(Y, GlobalScale(tau), alpha, draws, rng)
         hits += r >= bound
-    elapsed = time.perf_counter() - start
     frac = hits / reps
-    return CheckResult(
-        "radius-bound", frac >= 0.95 and elapsed < 120.0,
-        {"fraction_above_bound": frac, "bound": bound, "runtime_s": elapsed},
-        "ball radius floor on null data",
-    )
+    return frac >= 0.95, {"fraction_above_bound": frac, "bound": bound}
 
 
-def _check_moment_constant(params):
-    n = int(params.get("n", 100_000))
-    t = float(params.get("tau", 1e-4))
+def _check_moment_constant(n, tau):
     target = (2.0 / math.pi) ** 1.5
     Y = np.random.default_rng(11).standard_normal(n)
-    total = float(np.sum(posterior_variance(Y, t)))
-    measured = total / (n * t * zeta(t))
+    total = float(np.sum(posterior_variance(Y, tau)))
+    measured = total / (n * tau * zeta(tau))
     rel = abs(measured / target - 1.0)
-    return CheckResult(
-        "moment-constant", rel <= 0.20,
-        {"measured": measured, "target": target, "rel_error": rel},
-        "slow log-rate convergence; tolerance 20 percent",
-    )
+    return rel <= 0.20, {"measured": measured, "target": target, "rel_error": rel}
 
 
-def _check_region_coverage(params):
-    start = time.perf_counter()
-    t = float(params.get("tau", 0.01))
-    n = int(params.get("n", 10_000))
-    zt = zeta(t)
+def _check_region_coverage(tau, n):
+    zt = zeta(tau)
     L_small, L_large = region_blowups(alpha=0.05, gamma=0.1)
     third = n // 3
     theta = np.concatenate([
@@ -734,28 +696,19 @@ def _check_region_coverage(params):
     ])
     rng = np.random.default_rng(0)
     Y = theta + rng.standard_normal(n)
-    batch = PosteriorBatch(Y, t)
+    batch = PosteriorBatch(Y, tau)
     r = batch.radius_batch(0.05)
     d = np.abs(theta - batch.means)
     ns = n - 2 * third
     fS = float((d[:ns] <= L_small * r[:ns]).mean())
     fM = float((d[ns:ns + third] <= r[ns:ns + third]).mean())
     fL = float((d[ns + third:] <= L_large * r[ns + third:]).mean())
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "region-coverage", fS >= 0.9 and fL >= 0.9 and fM <= 0.1,
-        {"small_fraction": fS, "medium_fraction": fM, "large_fraction": fL,
-         "L_small": L_small, "L_large": L_large, "runtime_s": elapsed},
-        "split thirds at 0, half, and 1.5 times the threshold scale",
-    )
+    return fS >= 0.9 and fL >= 0.9 and fM <= 0.1, {
+        "small_fraction": fS, "medium_fraction": fM, "large_fraction": fL,
+        "L_small": L_small, "L_large": L_large}
 
 
-def _check_ball_coverage(params):
-    start = time.perf_counter()
-    n = int(params.get("n", 2000))
-    p = int(params.get("p", 40))
-    reps = int(params.get("reps", 100))
-    L = float(params.get("L", 2.0))
+def _check_ball_coverage(n, p, reps, L):
     tau = GlobalScale(SparsityRate(n, p).tau_n)
     sig = 2.0 * math.sqrt(2.0 * math.log(n / p))
     theta = np.concatenate([np.full(p, sig), np.zeros(n - p)])
@@ -765,16 +718,11 @@ def _check_ball_coverage(params):
         Y = theta + rng.standard_normal(n)
         ball = credible_ball(Y, tau, alpha=0.05, L=L, draws=1024, rng=rng)
         hits += ball.contains(theta)
-    elapsed = time.perf_counter() - start
     frac = hits / reps
-    return CheckResult(
-        "ball-coverage", frac >= 0.9,
-        {"coverage": frac, "L": L, "runtime_s": elapsed},
-        "self-similar truth at the sparsity-rate scale",
-    )
+    return frac >= 0.9, {"coverage": frac, "L": L}
 
 
-def _check_kernel_expansions(params):
+def _check_kernel_expansions():
     worst_series = 0.0
     for x in (1e-4, 1e-3, 0.01, 0.05):
         for k in (0.5, 1.5, 2.5, 3.5):
@@ -789,34 +737,71 @@ def _check_kernel_expansions(params):
     t = 0.05
     closed = (2.0 / (t * math.sqrt(1.0 - t * t))) * math.atan(math.sqrt(1.0 - t * t) / t)
     origin_err = abs(integral_Ik(0.0, t, -0.5) / closed - 1.0)
-    passed = worst_series <= 1e-9 and worst_tail <= 0.05 and origin_err <= 1e-12
-    return CheckResult(
-        "kernel-expansions", passed,
-        {"max_series_error": worst_series, "max_tail_error": worst_tail,
-         "origin_closed_form_error": origin_err},
-        "small-argument series, leading-order tail, closed form at the origin",
-    )
+    return worst_series <= 1e-9 and worst_tail <= 0.05 and origin_err <= 1e-12, {
+        "max_series_error": worst_series, "max_tail_error": worst_tail,
+        "origin_closed_form_error": origin_err}
 
 
+# name -> (check, parameter defaults, time limit in seconds or None, note);
+# each check takes its parameters as keywords and returns (passed, measured)
 THEORY_CHECKS = {
-    "kernel-identity": _check_kernel_identity,
-    "oracle-moments": _check_oracle_moments,
-    "score-bounds": _check_score_bounds,
-    "radius-bound": _check_radius_bound,
-    "moment-constant": _check_moment_constant,
-    "region-coverage": _check_region_coverage,
-    "ball-coverage": _check_ball_coverage,
-    "kernel-expansions": _check_kernel_expansions,
+    "kernel-identity": (
+        _check_kernel_identity, {}, 10.0,
+        "derivative identity on a 41x4 grid plus density normalization"),
+    "oracle-moments": (
+        _check_oracle_moments, {}, None,
+        "brute-force 2-D quadrature on a 5x5 grid; 1e7-draw empirical CDF"),
+    "score-bounds": (
+        _check_score_bounds, {"tau": 1e-4}, None,
+        "the threshold-scale ratio converges at a log rate and sits near 1.19 "
+        "at tau=1e-4, outside the asymptotic band [0.85, 1.15]"),
+    "radius-bound": (
+        _check_radius_bound,
+        {"n": 5000, "tau": 0.01, "alpha": 0.05, "draws": 2000, "reps": 50}, 120.0,
+        "ball radius floor on null data"),
+    "moment-constant": (
+        _check_moment_constant, {"n": 100_000, "tau": 1e-4}, None,
+        "slow log-rate convergence; tolerance 20 percent"),
+    "region-coverage": (
+        _check_region_coverage, {"tau": 0.01, "n": 10_000}, None,
+        "split thirds at 0, half, and 1.5 times the threshold scale"),
+    "ball-coverage": (
+        _check_ball_coverage, {"n": 2000, "p": 40, "reps": 100, "L": 2.0}, None,
+        "self-similar truth at the sparsity-rate scale"),
+    "kernel-expansions": (
+        _check_kernel_expansions, {}, None,
+        "small-argument series, leading-order tail, closed form at the origin"),
 }
 
 
 def verify_theory(check_name, params=None):
-    """Run one named numeric check; see THEORY_CHECKS for the registry."""
+    """Run one named numeric check from THEORY_CHECKS.
+
+    Each value in ``params`` is converted to the type of the check's default
+    for that key; an unknown key or a value that does not convert raises
+    ValueError. The check is timed into ``measured["runtime_s"]`` and fails
+    when it runs past its time limit.
+    """
     if check_name not in THEORY_CHECKS:
         raise ValueError(
             f"unknown check {check_name!r}; available: {', '.join(sorted(THEORY_CHECKS))}"
         )
-    return THEORY_CHECKS[check_name](params or {})
+    check, defaults, limit_s, note = THEORY_CHECKS[check_name]
+    kwargs = dict(defaults)
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            raise ValueError(f"check {check_name!r} takes {sorted(defaults)}, got {key!r}")
+        kind = type(defaults[key])
+        try:
+            kwargs[key] = kind(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"check {check_name!r} parameter {key!r} must be "
+                             f"{kind.__name__}, got {value!r}") from None
+    start = time.perf_counter()
+    passed, measured = check(**kwargs)
+    measured["runtime_s"] = elapsed = time.perf_counter() - start
+    passed = passed and (limit_s is None or elapsed < limit_s)
+    return CheckResult(check_name, passed, measured, note)
 
 
 # ---------------------------------------------------------------------------
@@ -946,49 +931,44 @@ def _build_parser():
         description="Shrinkage-prior uncertainty quantification for sparse means",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("file")
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--alpha", type=float, default=0.05)
+    level.add_argument("--L", type=float, default=1.0)
 
-    p = sub.add_parser("fit-tau", help="estimate the global scale from a data file")
-    p.add_argument("file")
+    p = sub.add_parser("fit-tau", parents=[data],
+                       help="estimate the global scale from a data file")
     p.add_argument("--method", choices=["mmle", "simple"], default="mmle")
     p.add_argument("--c1", type=float, default=2.0)
     p.add_argument("--c2", type=float, default=1.0)
     p.set_defaults(func=_cmd_fit_tau)
 
-    p = sub.add_parser("intervals", help="per-coordinate credible intervals")
-    p.add_argument("file")
+    p = sub.add_parser("intervals", parents=[data, level],
+                       help="per-coordinate credible intervals")
     p.add_argument("--tau", required=True, help="mmle, simple, or a number")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--L", type=float, default=1.0)
     p.set_defaults(func=_cmd_intervals)
 
-    p = sub.add_parser("ball", help="joint credible ball radius")
-    p.add_argument("file")
+    p = sub.add_parser("ball", parents=[data, level], help="joint credible ball radius")
     p.add_argument("--tau", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--draws", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_ball)
 
-    p = sub.add_parser("hb", help="full-Bayes intervals via the Gibbs sampler")
-    p.add_argument("file")
+    p = sub.add_parser("hb", parents=[data, level],
+                       help="full-Bayes intervals via the Gibbs sampler")
     p.add_argument("--prior", choices=["cauchy", "tcauchy", "tuniform"],
                    default="tcauchy")
     p.add_argument("--iters", type=int, default=12000)
     p.add_argument("--burnin", type=int, default=2000)
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--chain-csv", help="also export the kept chain to this path")
     p.set_defaults(func=_cmd_hb)
 
-    p = sub.add_parser("select", help="flag likely signals")
-    p.add_argument("file")
+    p = sub.add_parser("select", parents=[data, level], help="flag likely signals")
     p.add_argument("--rule", choices=["interval", "threshold"], default="interval")
     p.add_argument("--tau", default="mmle")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--cutoff", type=float, default=0.5)
     p.set_defaults(func=_cmd_select)
 

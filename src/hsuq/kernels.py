@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, hyp1f1
+from scipy.special import exp1, hyp1f1, lambertw
 
 __all__ = [
     "GlobalScale",
@@ -610,29 +610,24 @@ def kappa_threshold(tau) -> float:
     """Solution kappa >= sqrt(2) of exp(kappa^2/2) / (kappa^2/2) = 1/tau.
 
     The left side is increasing in kappa on [sqrt(2), inf) with minimum e,
-    so a solution on that branch exists exactly when tau <= 1/e. Solved by
-    monotone bracketing root-finding on s = kappa^2/2 via the equivalent
-    equation s - log s = log(1/tau); the residual in the defining identity
-    is below 1e-12 in relative terms.
+    so a solution on that branch exists exactly when tau <= 1/e. With
+    s = kappa^2/2 the equation reads (-s) exp(-s) = -tau, so s >= 1 is
+    -W_{-1}(-tau) on the lower branch of the Lambert W function.
 
     Raises
     ------
     ValueError
         If tau > 1/e, where no solution with kappa >= sqrt(2) exists.
     """
-    from scipy.optimize import brentq
-
     t = _tau_value(tau)
     target = math.log(1.0 / t)
     if target < 1.0:
         raise ValueError(
             f"no solution with kappa >= sqrt(2) for tau = {t} (need tau <= 1/e)"
         )
-    if target == 1.0:
+    if target == 1.0:  # the branch point, where lambertw returns NaN
         return math.sqrt(2.0)
-    hi = target + math.log(target) + 1.0
-    s = brentq(lambda s: s - math.log(s) - target, 1.0, hi, xtol=1e-14, rtol=1e-15)
-    return math.sqrt(2.0 * s)
+    return math.sqrt(-2.0 * lambertw(-t, -1).real)
 
 
 def expansion_Hk(y: float, k) -> float:

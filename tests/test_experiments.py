@@ -461,6 +461,34 @@ class TestVerifyTheory:
         assert result.passed
         assert result.measured["max_series_error"] < 1e-9
 
+    def test_checks_without_a_timer_report_runtime(self):
+        for name in ("kernel-expansions", "score-bounds"):
+            assert verify_theory(name).measured["runtime_s"] > 0.0
+
+    def test_unknown_parameter_names_the_check_and_key(self):
+        with pytest.raises(ValueError, match=r"check 'moment-constant' takes "
+                                             r"\['n', 'tau'\], got 'nn'"):
+            verify_theory("moment-constant", {"nn": "10"})
+        with pytest.raises(ValueError, match=r"takes \[\], got 'tau'"):
+            verify_theory("kernel-expansions", {"tau": "0.1"})
+
+    def test_ill_typed_value_names_the_check_and_key(self):
+        with pytest.raises(ValueError, match=r"check 'moment-constant' parameter 'n' "
+                                             r"must be int, got 'abc'"):
+            verify_theory("moment-constant", {"n": "abc"})
+
+    def test_values_take_the_type_of_their_default(self):
+        # the threshold-scale ratio is 1.107 at tau = 1e-6 (1.193 at 1e-4)
+        result = verify_theory("score-bounds", {"tau": "1e-6"})
+        assert abs(result.measured["zeta_ratio"] - 1.107) < 1e-3
+
+    def test_a_check_past_its_time_limit_fails(self, monkeypatch):
+        check, defaults, _, note = THEORY_CHECKS["kernel-expansions"]
+        monkeypatch.setitem(THEORY_CHECKS, "kernel-expansions", (check, defaults, 0.0, note))
+        result = verify_theory("kernel-expansions")
+        assert not result.passed
+        assert result.measured["max_series_error"] < 1e-9
+
 
 class TestCli:
     def _write_obs(self, path, values):
@@ -517,6 +545,12 @@ class TestCli:
         # the threshold-scale ratio sits outside its asymptotic band
         assert cli_main(["verify", "score-bounds"]) == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_verify_rejects_bad_parameters(self, capsys):
+        assert cli_main(["verify", "moment-constant", "nn=10"]) == 2
+        assert "got 'nn'" in capsys.readouterr().err
+        assert cli_main(["verify", "moment-constant", "n=abc"]) == 2
+        assert "parameter 'n'" in capsys.readouterr().err
 
     def test_simulate_outputs_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

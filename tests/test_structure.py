@@ -2,7 +2,8 @@
 kernels.py alone, where only kernels._layout maps the Gauss rule (the
 theta panels too: posterior.py names neither ndtr nor the rule), each
 replication-harness decision is made in one place, each argument rule is
-stated once, and scipy.optimize and scipy.integrate load only with the
+stated once, verify_theory alone parses, times and judges the theory checks,
+and scipy.optimize and scipy.integrate load only with the
 calls that use them."""
 
 import ast
@@ -96,6 +97,15 @@ def test_signal_specs_draw_and_label_themselves():
     assert scopes == {"ScenarioConfig.__post_init__"}
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint({"_signal_label", "_scale_from_arg", "_threshold_report"})
+
+
+def test_theory_checks_leave_parsing_timing_and_results_to_verify_theory():
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    checks = {node.name: set(_names(node)) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")}
+    assert set(checks) == {entry[0].__name__ for entry in experiments.THEORY_CHECKS.values()}
+    shared = {"perf_counter", "CheckResult", "params"}
+    assert {name: sorted(used & shared) for name, used in checks.items() if used & shared} == {}
 
 
 def test_each_argument_rule_is_stated_once():
