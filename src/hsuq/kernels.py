@@ -265,17 +265,22 @@ def _log_prior(theta, tau: float) -> np.ndarray:
 
     p(theta) = e^x E1(x) / (tau sqrt(2 pi^3)) with x = theta^2 / (2 tau^2)
     (Carvalho, Polson & Scott, Biometrika 2010). Finite at every theta != 0;
-    log p(0) = inf, the prior's log singularity.
+    log p(0) = inf, the prior's log singularity. On the series branch log x
+    is 2 (log|theta| - log tau) - log 2, so it stays finite where x itself
+    overflows (|theta| / tau > 1.34e154).
     """
-    x = 0.5 * np.square(np.asarray(theta, dtype=float) / tau)
+    theta = np.abs(np.asarray(theta, dtype=float))
+    with np.errstate(over="ignore"):
+        x = 0.5 * np.square(theta / tau)
     g = np.empty_like(x)
     near = x <= _E1_SERIES_FROM
     g[near] = np.log(np.exp(x[near]) * exp1(x[near]))
-    far = x[~near]
+    far = theta[~near]
+    inv = 2.0 * np.square(tau / far)  # 1 / x, which underflows to 0 harmlessly
     h = np.ones_like(far)
     for k in range(8, 0, -1):  # Horner form of the 9-term series
-        h = 1.0 - k / far * h
-    g[~near] = np.log(h) - np.log(far)
+        h = 1.0 - k * inv * h
+    g[~near] = np.log(h) - (2.0 * (np.log(far) - math.log(tau)) - math.log(2.0))
     return g - math.log(tau) - _LOG_SQRT_2PI3
 
 

@@ -320,6 +320,37 @@ def z_reference(batch, splits=4):
     return u, W
 
 
+def direct_theta_law(Y, tau):
+    """The theta law of ``PosteriorBatch._law`` with one exp per node: ``(U, C, scale)``.
+
+    Every core node and every node of the row's 21 unit panels
+    [k, k + 1], k = floor(y) - 10, ..., floor(y) + 10 (less the two inside
+    the core), gets exp(log p(theta) - (y - theta)^2 / 2 - c) with c the
+    row's largest exponent; the Gauss sums per panel, normalised by their
+    total, give the cumulative masses U (unit) and C (core), and
+    scale = c + log(total). All rows at once, no blocks and no factoring.
+    """
+    from hsuq.kernels import _layout, _log_prior, _theta_panels
+
+    Y = np.asarray(Y, dtype=float)
+    _, nodes, wt = _theta_panels(tau)
+    xh, wh = _layout(None, edges=np.array([0.0, 1.0]))
+    y = Y[:, None, None]
+    k = (np.floor(Y) - 10.0)[:, None] + np.arange(21)
+    inside = (k >= -1.0) & (k <= 0.0)
+    ec = _log_prior(nodes, tau) - 0.5 * np.square(y - nodes)
+    th = k[..., None] + xh
+    eu = np.where(inside[..., None], -np.inf, _log_prior(th, tau) - 0.5 * np.square(y - th))
+    c = np.maximum(ec.max(axis=(1, 2)), eu.max(axis=(1, 2)))
+    mc = (np.exp(ec - c[:, None, None]) * wt).sum(axis=2)
+    mu = (np.exp(eu - c[:, None, None]) * wh).sum(axis=2)
+    total = mc.sum(axis=1) + mu.sum(axis=1)
+    zero = np.zeros((len(Y), 1))
+    U = np.hstack([zero, np.cumsum(mu / total[:, None], axis=1)])
+    C = np.hstack([zero, np.cumsum(mc / total[:, None], axis=1)])
+    return U, C, c + np.log(total)
+
+
 def _z_cdf(u, W, Y, t):
     from scipy.special import ndtr
 

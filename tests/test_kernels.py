@@ -494,10 +494,21 @@ class TestThetaPrior:
         assert abs(got[3] / got[2] - want[3] / want[2]) < 5e-15
 
     def test_even_and_decreasing_in_theta(self):
+        # at tau = 1e-150, theta / tau passes 1.34e154, where x = theta^2 / (2 tau^2)
+        # overflows
         theta = np.geomspace(1e-12, 1e6, 200)
-        lp = kernels._log_prior(theta, 0.2)
-        assert np.array_equal(lp, kernels._log_prior(-theta, 0.2))
-        assert np.all(np.diff(lp) < 0.0)
+        for tau in (0.2, 1e-150):
+            lp = kernels._log_prior(theta, tau)
+            assert np.all(np.isfinite(lp))
+            assert np.array_equal(lp, kernels._log_prior(-theta, tau))
+            assert np.all(np.diff(lp) < 0.0)
+
+    @pytest.mark.parametrize("tau", [1.0, 1e-100, 1e-153])
+    def test_matches_the_asymptote_past_the_square_overflow(self, tau):
+        # p(theta) -> 2 tau / (theta^2 sqrt(2 pi^3)) as x -> inf, to relative 1/x
+        theta = tau * np.array([1e150, 1e160, 1e200])
+        want = np.log(2.0 * tau) - 2.0 * np.log(theta) - self.LOG_NORM
+        assert_allclose(kernels._log_prior(theta, tau), want, rtol=1e-14)
 
 
 class TestTypes:

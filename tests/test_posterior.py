@@ -14,7 +14,8 @@ from hsuq.kernels import marginal_density, posterior_mean, posterior_variance
 from hsuq.posterior import _BLOCK, PosteriorBatch
 from hsuq.tau import mmle
 
-from _oracles import ThetaPosterior, marginal_cdf_quad, newton_quantile, newton_radius
+from _oracles import (ThetaPosterior, direct_theta_law, marginal_cdf_quad, newton_quantile,
+                      newton_radius)
 
 # one (y, tau) pair per regime: observation far below, near, and far
 # above the threshold scale sqrt(2 log(1/tau))
@@ -451,6 +452,76 @@ class TestThetaLaw:
         # far out the posterior is N(y, 1) to O(1 / y^2)
         r = PosteriorBatch([0.0] * 19 + [1e6], 0.05).radius_batch(0.05)
         assert abs(r[-1] - ndtri(0.975)) < 1e-9
+
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 0.1, 0.01, 1e-4, 1e-8])
+    def test_build_matches_one_exp_per_node(self, tau):
+        # the factored build (a shared table for the unit window, the y theta
+        # series on the deep core panels) against one exp per node; beyond
+        # |y| = 1e3 the oracle's own nodes k + x_h carry the rounding of
+        # ulp(y), so the far rows keep their ndtri check above
+        ys = [y for y, _ in REGIME_GRID] + [20.0, 40.0, 1e3]
+        Y = np.array(ys + [-y for y in ys])
+        batch = PosteriorBatch(Y, tau)
+        law = batch._law
+        U, C, scale = direct_theta_law(Y, tau)
+        assert_allclose(law["C"], C, rtol=0, atol=1e-14)
+        assert_allclose(law["U"], U, rtol=0, atol=1e-14)
+        assert_allclose(law["scale"], scale, rtol=1e-14, atol=1e-14)
+        r = batch.radius_batch(0.05)
+        law.update(U=U, C=C, scale=scale, mass=U[:, -1] + C[:, -1])
+        assert_allclose(r, batch.radius_batch(0.05), rtol=0, atol=1e-9)
+
+    def test_rows_are_bit_identical_in_any_batch(self):
+        # a row's masses and scale depend on its own y only: not on its
+        # position, the other rows or the build's row blocks
+        rng = np.random.default_rng(19)
+        for n, tau, spread in [(600, 0.05, 1.0), (300, 1e-6, 30.0), (257, 0.7, 5.0)]:
+            Y = spread * rng.standard_normal(n)
+            law = PosteriorBatch(Y, tau)._law
+            perm = rng.permutation(n)
+            shuffled = PosteriorBatch(Y[perm], tau)._law
+            for key in ("C", "U", "scale"):
+                assert np.array_equal(shuffled[key], law[key][perm])
+            for i in rng.choice(n, 4, replace=False):
+                single = PosteriorBatch(Y[i:i + 1], tau)._law
+                for key in ("C", "U", "scale"):
+                    assert np.array_equal(single[key][0], law[key][i])
+
+    def test_tiny_tau_keeps_the_slab(self):
+        # past |theta| / tau = 1.34e154, x = theta^2 / (2 tau^2) overflowed,
+        # log p was -inf on every unit panel and the row fell onto the spike
+        # at 0 (radius 43.995 and 99999). The slab outweighs the spike by
+        # e^440 or more; it is 2 tau / (theta^2 sqrt(2 pi^3)) there, so the
+        # row's law is phi(y - theta) / theta^2, whose curvature still
+        # widens the interval at y = 40 by 1.2e-3 over ndtri(0.975)
+        def slab(a, b):
+            return quad(lambda t: math.exp(-0.5 * (40.0 - t) ** 2) / (t * t), a, b,
+                        epsabs=0.0, epsrel=1e-13)[0]
+
+        total = slab(25.0, 55.0)
+        mean = quad(lambda t: math.exp(-0.5 * (40.0 - t) ** 2) / t, 25.0, 55.0,
+                    epsabs=0.0, epsrel=1e-13)[0] / total
+        r = PosteriorBatch([0.3, 40.0], 1e-153).radius_batch(0.05)[1]
+        assert abs(slab(mean - r, mean + r) / total - 0.95) < 1e-10
+        r = PosteriorBatch([0.3, 1e5], 1e-150).radius_batch(0.05)[1]
+        assert abs(r - ndtri(0.975)) < 1e-9
+
+    def test_rows_beyond_2_to_the_52_raise(self):
+        # there the keys floor(y) - 10 + i and the nodes k + x_h stop being
+        # distinct: one-row radii read 1.03 at 2^53, 6.18 at 1e17 and 5e39 at
+        # 1e40, for 1.96
+        for y in (1e17, -1e40):
+            batch = PosteriorBatch([0.5, y], 0.05)
+            for solve in (lambda: batch.radius_batch(0.05), lambda: batch.quantile_rows(0.5),
+                          lambda: batch.cdf_rows(y)):
+                with pytest.raises(ValueError, match=r"\|y\| = .* out of range"):
+                    solve()
+            assert np.all(np.isfinite(batch.draw_matrix(10, np.random.default_rng(0))))
+        # below the limit the answer is right to ulp(y) (0.125 at 1e15)
+        batch = PosteriorBatch([1e15], 0.05)
+        ulp = np.spacing(1e15)
+        assert abs(batch.radius_batch(0.05)[0] - ndtri(0.975)) <= ulp
+        assert abs(batch.quantile_rows(0.975)[0] - batch.means[0] - ndtri(0.975)) <= ulp
 
 
 class TestCdfImpliedMean:
