@@ -10,6 +10,7 @@ coverage per signal-size regime.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,7 +27,7 @@ from .kernels import (
     posterior_variance,
     zeta,
 )
-from .posterior import _BLOCK, PosteriorBatch
+from .posterior import _BLOCK, _STREAM, PosteriorBatch
 
 __all__ = [
     "CredibleBall",
@@ -107,11 +108,17 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     The draws are streamed _BLOCK rows at a time (coordinates are independent
     given tau): each block is centered in place and its squared norms summed,
     so memory beyond the node matrix W is O(_BLOCK x draws), with no (draws, n).
+    The sampler blocks of each draw call run on one thread pool, with one
+    worker per block up to the usable CPUs, opened for this ball and joined
+    before it returns; each block draws from its own child generator, so the
+    radius is the same on any number of threads.
     Returns (radius, mc_se) where the standard error comes from the
     usual order-statistic asymptotics with a finite-difference density
     estimate at the quantile, over a step that stays inside (0, 1).
     ``_center`` is the posterior mean, if known.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_level(alpha)
     draws = int(draws)
     if draws < 1000:
@@ -119,10 +126,13 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     batch = PosteriorBatch(Y, tau)
     center = batch.means if _center is None else _center
     sq = np.zeros(draws)
-    for lo in range(0, batch.n, _BLOCK):
-        M = batch.draw_matrix(draws, rng, slice(lo, lo + _BLOCK))
-        M -= center[lo:lo + _BLOCK]
-        sq += np.einsum("ij,ij->i", M, M)
+    blocks = -(-min(_BLOCK, batch.n) // _STREAM)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(blocks, cpus or 1)) as pool:
+        for lo in range(0, batch.n, _BLOCK):
+            M = batch.draw_matrix(draws, rng, slice(lo, lo + _BLOCK), _pool=pool)
+            M -= center[lo:lo + _BLOCK]
+            sq += np.einsum("ij,ij->i", M, M)
     dist = np.sqrt(sq)
     p = 1.0 - float(alpha)
     r = float(np.quantile(dist, p))

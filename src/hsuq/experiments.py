@@ -18,7 +18,6 @@ import re
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,11 +418,14 @@ def run_scenario(config):
     """Run all replications and methods; returns the aggregated report.
 
     HSUQ_THREADS > 1 runs replications in a process pool; results are
-    reduced in replication order either way.
+    reduced in replication order either way. A credible ball adds a thread
+    pool of its own inside each replication (``ball_radius``).
     """
     workers = int(os.environ.get("HSUQ_THREADS", "1"))
     per_rep = []
     if workers > 1 and config.reps > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for reports in pool.map(_run_one_rep, [config] * config.reps,
                                     range(config.reps)):

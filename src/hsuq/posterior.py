@@ -24,7 +24,7 @@ only draws holds no theta panels.
 one-row batch, `PosteriorBatch([y], tau)`.
 """
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,7 +45,8 @@ from .kernels import (
 )
 
 __all__ = ["PosteriorBatch"]
-_BLOCK = 128  # rows per sampler block
+_BLOCK = 128  # rows per draw call of the streamed ball
+_STREAM = 64  # rows per sampler block, each with its own child generator
 _BUILD_BLOCK = 256  # rows per theta-law build block: under 1,000 doubles a row, near L2
 # unit panels [k, k+1] per row, for k from floor(y) - 10: they cover [y - 10, y + 10]
 _WINDOW = 21
@@ -199,7 +200,7 @@ class PosteriorBatch:
                     unit_lp=unit_lp, start=start, U=U, C=C, scale=scale,
                     mass=U[:, -1] + C[:, -1])
 
-    def _evaluate(self, rows, t):
+    def _evaluate(self, rows, t, clip=False):
         """(F, f, f') stacked, of the listed rows at points t (rows x points).
 
         F is the row's mass at the left edge of the panel that holds t plus
@@ -207,7 +208,10 @@ class PosteriorBatch:
         up to t; f and f' are that polynomial's value and slope. The node
         values cost 16 exp per point, from the shared log p(theta_j). A
         point outside the row's panels has F at the mass below it and
-        f = f' = 0.
+        f = f' = 0. With ``clip`` F is clipped to the masses at its panel's
+        edges, so the rounding of the polynomial's integral cannot make F
+        decrease across an edge (``cdf_rows``; the solvers stop at a
+        residual of 1e-9 and skip it).
         """
         L = self._law
         edges = L["edges"]
@@ -220,8 +224,13 @@ class PosteriorBatch:
         unit = ~core & (j >= 0.0) & (j < _WINDOW)
         p = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
         kc = edges.size - 1
-        F = L["U"][r, np.clip(j, 0, _WINDOW).astype(np.intp)]
-        F += np.where(core, L["C"][r, p], np.where(k >= 1.0, L["C"][r, kc], 0.0))
+        ju = np.clip(j, 0, _WINDOW).astype(np.intp)
+        F = L["U"][r, ju]
+        below = np.where(core, L["C"][r, p], np.where(k >= 1.0, L["C"][r, kc], 0.0))
+        F += below
+        if clip:  # the mass at the panel's right edge: one more core or unit panel
+            F_hi = L["U"][r, ju + unit]
+            F_hi += np.where(core, L["C"][r, np.minimum(p + 1, kc)], below)
         q = np.searchsorted(L["keys"], np.where(unit, k, L["keys"][0]))
         in_core = core[:, None]
         nodes = np.where(in_core, L["nodes"][p], k[:, None] + L["xh"])
@@ -238,13 +247,15 @@ class PosteriorBatch:
         out = _panel_interp(np.exp(e, out=e), s)
         out[0] *= half
         out[0] += F
+        if clip:
+            np.clip(out[0], F, F_hi, out=out[0])
         out[2] /= half
         return out.reshape(shape)
 
     def cdf_rows(self, t):
         """Per-row CDF values; t may be scalar or one value per row."""
         tt = np.broadcast_to(np.asarray(t, dtype=float), (self.n,))
-        return self._evaluate(np.arange(self.n), tt[:, None])[0, :, 0]
+        return self._evaluate(np.arange(self.n), tt[:, None], clip=True)[0, :, 0]
 
     def _solve(self, key, base, signs, target, x, lo, hi):
         """Per-row root of the increasing g(x) = sum_j signs_j F(base_j + signs_j x) - target.
@@ -328,33 +339,68 @@ class PosteriorBatch:
         hi = np.maximum(self.Y, 0.0) + 40.0
         return self._solve(self.Y, np.zeros((self.n, 1)), np.ones(1), p, self.means.copy(), lo, hi)
 
-    def draw_weights(self, draws, rng, rows=slice(None)):
+    def draw_weights(self, draws, rng, rows=slice(None), *, _pool=None, _streams=None):
         """(draws, len(rows)) shrinkage weights z of the basic slice ``rows``, one row per draw.
 
         Exact draws from the z node law, the sampler's discretisation of the
         law that ``cdf_rows`` integrates in theta: each z is u_j^2 with
-        probability W_ij, independently across draws and rows. Per
-        block of _BLOCK rows, multinomial node counts are expanded into the
-        block's rows of one (rows, draws) buffer and each row is shuffled in
-        place, so memory stays near the output's own bytes.
+        probability W_ij, independently across draws and rows. The rows
+        fall into blocks of _STREAM, counted from the slice's start, and
+        block b draws from ``rng.spawn(blocks)[b]``: its multinomial node
+        counts are expanded into its rows of one (rows, draws) buffer and
+        each row is shuffled in place, so memory stays near the output's
+        own bytes. The children depend on the seed, the number of earlier
+        spawns and the block index only, not on ``rng``'s state, so the
+        output is the same whether the blocks run in turn here or on the
+        threads of ``_pool`` (``credible.ball_radius`` passes its own).
+        ``_streams`` are the block generators, if already spawned.
         """
         draws = int(draws)
         z = self._u * self._u
         W = self._W[rows]  # a view: rows is a basic slice
         out = np.empty((len(W), draws))
-        for lo in range(0, len(W), _BLOCK):
-            blk = out[lo:lo + _BLOCK]
-            counts = rng.multinomial(draws, W[lo:lo + _BLOCK])
-            blk[:] = np.repeat(np.tile(z, len(blk)), counts.ravel()).reshape(blk.shape)
-            rng.permuted(blk, axis=1, out=blk)
+        blocks = _blocks(W)
+        if _streams is None:
+            _streams = rng.spawn(len(blocks))
+        _run(_pool, partial(_draw_block, z), blocks, _streams, _blocks(out))
         return out.T
 
-    def draw_matrix(self, draws, rng, rows=slice(None)):
-        """(draws, len(rows)) posterior draws of the means of the basic slice ``rows``."""
-        z = self.draw_weights(draws, rng, rows)
-        # in place on z: z * Y + sqrt(z) * N with one temporary
-        noise = np.sqrt(z)
-        noise *= rng.standard_normal(z.shape)
-        z *= self.Y[rows]
-        z += noise
+    def draw_matrix(self, draws, rng, rows=slice(None), *, _pool=None):
+        """(draws, len(rows)) posterior draws of the means of the basic slice ``rows``.
+
+        Each sampler block takes its weights and then its normal noise from
+        its own child generator (see ``draw_weights``), so the draws are the
+        same on any number of threads.
+        """
+        y = _blocks(self.Y[rows])
+        streams = rng.spawn(len(y))
+        z = self.draw_weights(draws, rng, rows, _pool=_pool, _streams=streams)
+        _run(_pool, _noise_block, y, streams, _blocks(z.T))
         return z
+
+
+def _blocks(a):
+    """The leading-axis blocks of _STREAM rows of ``a``, as views."""
+    return [a[lo:lo + _STREAM] for lo in range(0, len(a), _STREAM)]
+
+
+def _run(pool, fn, *columns):
+    """fn over the zipped ``columns``, on ``pool``'s threads if given, else in turn
+    here. Returns once every call has; the first error is raised here."""
+    for _ in (map if pool is None else pool.map)(fn, *columns):
+        pass
+
+
+def _draw_block(z, W, rng, out):
+    """One block's weights into ``out`` (rows, draws): node counts, expanded, shuffled."""
+    counts = rng.multinomial(out.shape[1], W)
+    out[:] = np.repeat(np.tile(z, len(out)), counts.ravel()).reshape(out.shape)
+    rng.permuted(out, axis=1, out=out)
+
+
+def _noise_block(y, rng, out):
+    """One block's weights ``out`` to draws in place: z * y + sqrt(z) * N."""
+    noise = np.sqrt(out)
+    noise *= rng.standard_normal(out.shape)
+    out *= y[:, None]
+    out += noise

@@ -1,6 +1,9 @@
 """Tests for credible intervals, L2 balls, and the sparsity diagnostics."""
 
+import concurrent.futures
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -175,6 +178,33 @@ class TestBallRadius:
         want = np.quantile(np.linalg.norm(M - batch.means, axis=1), 0.95)
         assert r == pytest.approx(want, rel=1e-12)
 
+    def test_radius_is_bit_identical_on_any_pool(self, monkeypatch):
+        # n = 300 is three draw calls of two and one sampler blocks; the
+        # serial stream is the same calls with no pool
+        Y = np.random.default_rng(42).standard_normal(300)
+        batch = PosteriorBatch(Y, 0.05)
+        rng, sq = np.random.default_rng(8), np.zeros(2000)
+        for lo in range(0, Y.size, _BLOCK):
+            M = batch.draw_matrix(2000, rng, slice(lo, lo + _BLOCK))
+            M -= batch.means[lo:lo + _BLOCK]
+            sq += np.einsum("ij,ij->i", M, M)
+        want = float(np.quantile(np.sqrt(sq), 0.95))
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)),
+                                raising=False)
+            r, _ = ball_radius(Y, 0.05, 0.05, 2000, np.random.default_rng(8))
+            assert r == want
+        # one worker per sampler block of a draw call, up to the CPUs
+        assert sizes == [1, 2, 2]
+
     def test_streamed_radius_follows_the_draw_matrix_law(self):
         # the streamed radius against the full (draws, n) matrix of the
         # public joint sampler, on an independent stream of the same law
@@ -233,6 +263,27 @@ class TestCredibleBallOp:
         tau = GlobalScale(0.3)
         ball = credible_ball(Y, tau, alpha=0.05, L=1.0, draws=1500, rng=rng)
         npt.assert_allclose(ball.center, PosteriorBatch(Y, tau).means, rtol=0, atol=0)
+
+    def test_ball_leaves_no_thread_running(self, monkeypatch):
+        import hsuq.posterior
+
+        Y = np.random.default_rng(17).standard_normal(300)
+        before = threading.active_count()
+        credible_ball(Y, 0.05, 0.05, 1.0, 1000, np.random.default_rng(1))
+        assert threading.active_count() == before
+        # a failing block is raised on the caller's thread, after the pool is joined
+        real, calls = hsuq.posterior._draw_block, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("block failed")
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(hsuq.posterior, "_draw_block", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            credible_ball(Y, 0.05, 0.05, 1.0, 1000, np.random.default_rng(1))
+        assert threading.active_count() == before
 
     def test_one_posterior_mean_per_ball(self, monkeypatch):
         import hsuq.credible

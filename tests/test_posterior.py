@@ -1,7 +1,9 @@
 """Tests for the per-coordinate posterior law and its batch machinery."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from scipy.special import ndtr, ndtri
 
 from hsuq.credible import covers, interval_batch
 from hsuq.kernels import marginal_density, posterior_mean, posterior_variance
-from hsuq.posterior import _BLOCK, PosteriorBatch
+from hsuq.posterior import _BLOCK, _STREAM, PosteriorBatch
 from hsuq.tau import mmle
 
 from _oracles import (ThetaPosterior, direct_theta_law, marginal_cdf_quad, newton_quantile,
@@ -40,6 +42,22 @@ def cdf1(post, t):
 
 def draws1(post, size, rng):
     return post.draw_matrix(size, rng)[:, 0]
+
+
+def rebuilt_draws(batch, draws, seed, rows):
+    """(weights, noise) of the slice ``rows``, each block of _STREAM rows
+    rebuilt from its own child of the seed's generator: node counts,
+    expanded and shuffled per row, then the block's normal draws."""
+    W, z = batch._W[rows], batch._u * batch._u
+    starts = range(0, len(W), _STREAM)
+    weights, noise = [], []
+    for lo, child in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
+        counts = child.multinomial(draws, W[lo:lo + _STREAM])
+        zb = np.repeat(np.tile(z, len(counts)), counts.ravel()).reshape(len(counts), draws)
+        child.permuted(zb, axis=1, out=zb)
+        weights.append(zb)
+        noise.append(child.standard_normal(zb.shape))
+    return np.vstack(weights).T, np.vstack(noise).T
 
 
 class TestShrinkWeightLaw:
@@ -93,6 +111,16 @@ class TestCdf:
         for _ in range(50):
             a, b = np.sort(rng.uniform(-6, 6, size=2))
             assert cdf1(post, a) <= cdf1(post, b) + 1e-15
+
+    def test_nondecreasing_across_panel_edges(self):
+        # F is clipped to its panel's edge masses: without that, the rounding
+        # of a panel's integral put cdf(-8.5e-286) above cdf(0) at y = 0
+        for y, tau in [(0.0, 0.25), (3.3, 0.05), (-7.6, 0.9)]:
+            edges = np.r_[one(y, tau)._law["edges"], np.arange(-20.0, 21.0)]
+            batch = PosteriorBatch(np.full(edges.size, y), tau)
+            at = batch.cdf_rows(edges)
+            assert np.all(batch.cdf_rows(np.nextafter(edges, -np.inf)) <= at)
+            assert np.all(at <= batch.cdf_rows(np.nextafter(edges, np.inf)))
 
     def test_limits(self):
         post = one(3.0, 0.1)
@@ -342,21 +370,22 @@ class TestPosteriorBatch:
         assert peak <= 3.25 * M.nbytes
 
     def test_draw_matrix_is_weighted_data_plus_scaled_noise(self):
+        # 300 rows are five sampler blocks, each with its own child stream
         batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
-        rng = np.random.default_rng(2)
-        z = batch.draw_weights(1000, rng)
-        want = z * batch.Y[None, :] + np.sqrt(z) * rng.standard_normal(z.shape)
+        z, noise = rebuilt_draws(batch, 1000, 2, slice(None))
+        assert np.array_equal(batch.draw_weights(1000, np.random.default_rng(2)), z)
+        want = z * batch.Y[None, :] + np.sqrt(z) * noise
         got = batch.draw_matrix(1000, np.random.default_rng(2))
         assert np.array_equal(got, want)
         assert got.flags.f_contiguous
 
     def test_row_slice_is_weighted_data_plus_scaled_noise(self):
-        # rows 40..299 span three sampler blocks of the slice
+        # rows 40..299 span five sampler blocks of the slice, counted from row 40
         batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
         rows = slice(40, 300)
-        rng = np.random.default_rng(2)
-        z = batch.draw_weights(1000, rng, rows)
-        want = z * batch.Y[None, rows] + np.sqrt(z) * rng.standard_normal(z.shape)
+        z, noise = rebuilt_draws(batch, 1000, 2, rows)
+        assert np.array_equal(batch.draw_weights(1000, np.random.default_rng(2), rows), z)
+        want = z * batch.Y[None, rows] + np.sqrt(z) * noise
         got = batch.draw_matrix(1000, np.random.default_rng(2), rows)
         assert got.shape == (1000, 260)
         assert np.array_equal(got, want)
@@ -368,6 +397,36 @@ class TestPosteriorBatch:
         full = batch.draw_weights(500, np.random.default_rng(4))
         assert full.shape == (500, 300)
         assert np.array_equal(part, full[:, :_BLOCK])
+
+    def test_draws_are_bit_identical_on_any_pool(self):
+        # blocks draw from their own child streams into their own rows, so
+        # threads cannot change them; 5 workers and a short switch interval
+        # would show a block written twice or not at all
+        batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
+        rows = slice(40, 300)
+        M = batch.draw_matrix(1000, np.random.default_rng(3))
+        z = batch.draw_weights(1000, np.random.default_rng(3), rows)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                with ThreadPoolExecutor(workers) as pool:
+                    assert np.array_equal(
+                        batch.draw_matrix(1000, np.random.default_rng(3), _pool=pool), M)
+                    assert np.array_equal(
+                        batch.draw_weights(1000, np.random.default_rng(3), rows, _pool=pool), z)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_blocks_with_identical_rows_draw_different_weights(self):
+        y = np.random.default_rng(14).standard_normal(_STREAM)
+        batch = PosteriorBatch(np.tile(y, 2), 0.05)
+        z = batch.draw_weights(1000, np.random.default_rng(5))
+        assert not np.array_equal(z[:, :_STREAM], z[:, _STREAM:])
+        # the same block drawn twice from one seed takes two child streams
+        rng = np.random.default_rng(5)
+        first = batch.draw_weights(1000, rng, slice(0, _STREAM))
+        assert not np.array_equal(first, batch.draw_weights(1000, rng, slice(0, _STREAM)))
 
     def test_row_slice_draws_match_cdf(self):
         rows = slice(4, 10)

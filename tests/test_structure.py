@@ -116,7 +116,7 @@ def test_each_argument_rule_is_stated_once():
     assert "_as_flat" not in text and "_restore" not in text
 
 
-LAZY_MODULES = ("scipy.optimize", "scipy.integrate")
+LAZY_MODULES = ("scipy.optimize", "scipy.integrate", "multiprocessing")
 # run in a fresh interpreter: the test modules import scipy.integrate themselves
 IMPORT_PROBE = """
 import sys
