@@ -1,12 +1,11 @@
 """Vector-level credible sets: interval batches, L2 balls, region diagnostics.
 
 Centers are always the posterior means. Interval half-widths come from
-the exact per-coordinate mass equation; ball radii from Monte Carlo
-over joint posterior draws, with a moment-based approximation available
-when draws are too expensive. The region classifiers and the
-self-similarity / excessive-bias checks operate on the true mean vector
-and are pure bookkeeping: they exist so simulation studies can report
-coverage per signal-size regime.
+the exact per-coordinate mass equation; ball radii are the Monte Carlo
+quantile of the distance to the center over joint posterior draws. The
+region classifiers and the self-similarity / excessive-bias checks
+operate on the true mean vector and are pure bookkeeping: they exist so
+simulation studies can report coverage per signal-size regime.
 """
 
 import math
@@ -22,9 +21,7 @@ from .kernels import (
     _as_obs,
     _check_level,
     _tau_value,
-    posterior_fourth_central,
     posterior_mean,
-    posterior_variance,
     zeta,
 )
 from .posterior import _BLOCK, _STREAM, PosteriorBatch
@@ -36,7 +33,6 @@ __all__ = [
     "interval_batch",
     "covers",
     "ball_radius",
-    "ball_radius_approx",
     "credible_ball",
     "classify_regions",
     "classify_regions_adaptive",
@@ -56,12 +52,11 @@ class CredibleBall:
     blowup_L: float
     mc_draws: int
     mc_se: float
-    approx: bool = False
 
     def __post_init__(self):
         if self.radius <= 0.0 and len(self.center) >= 1 and self.alpha < 1.0:
             raise ValueError("ball radius must be positive")
-        if not self.approx and self.mc_draws < 1:
+        if self.mc_draws < 1:
             raise ValueError("mc_draws must be a positive integer")
 
     def contains(self, theta) -> bool:
@@ -143,38 +138,12 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     return r, mc_se
 
 
-def ball_radius_approx(Y, tau, alpha):
-    """Moment-based ball radius: sum of variances plus a z-multiple of
-    the standard deviation of ||theta - mean||^2. No sampling; useful as
-    a cheap cross-check, not a replacement for the Monte Carlo radius.
-    """
-    _check_level(alpha)
-    Y = _as_obs(Y, 1)
-    t = _tau_value(tau)
-    v = posterior_variance(Y, t)
-    mu4 = posterior_fourth_central(Y, t)
-    total = float(np.sum(v))
-    sd = math.sqrt(max(float(np.sum(mu4 - v * v)), 0.0))
-    return math.sqrt(max(total + ndtri(1.0 - float(alpha)) * sd, 0.0))
-
-
-def credible_ball(Y, tau, alpha, L, draws, rng, method="mc"):
-    """Credible ball centered at the posterior mean vector.
-
-    method="mc" is the defining Monte Carlo construction; method="approx"
-    uses the moment radius and is flagged on the result.
-    """
+def credible_ball(Y, tau, alpha, L, draws, rng):
+    """Credible ball centered at the posterior mean vector, with the Monte
+    Carlo radius of :func:`ball_radius` blown up by L."""
     _check_level(alpha, L)
     Y = _as_obs(Y, 1)
     center = posterior_mean(Y, tau)
-    if method == "approx":
-        r = ball_radius_approx(Y, tau, alpha)
-        return CredibleBall(
-            center=center, radius=float(L) * r, alpha=float(alpha),
-            blowup_L=float(L), mc_draws=0, mc_se=0.0, approx=True,
-        )
-    if method != "mc":
-        raise ValueError(f"unknown ball method {method!r}")
     r, se = ball_radius(Y, tau, alpha, draws, rng, _center=center)
     return CredibleBall(
         center=center, radius=float(L) * r, alpha=float(alpha),

@@ -53,7 +53,6 @@ __all__ = [
     "score_m",
     "posterior_mean",
     "posterior_variance",
-    "posterior_fourth_central",
     "kappa_threshold",
     "expansion_Hk",
 ]
@@ -552,27 +551,6 @@ def posterior_mean(y, tau) -> "float | np.ndarray":
     return _elementwise(formula, y, tau)
 
 
-def _weight_moments(y: np.ndarray, t: float, order: int):
-    """E z, E z^2 and the central moments c_2..c_order of the weight z.
-
-    The central moments come from the raw moments of z where E z < 1/2 and
-    of w = 1 - z otherwise (odd ones change sign), so the subtracted powers
-    of the mean stay below 1/2 and cancel little at either end of (0, 1).
-    """
-    ks = range(1, order + 1)
-    j0, *js = _mixture_moments(y, t, [(0, 0)] + [(2 * k, 0) for k in ks] + [(0, k) for k in ks])
-    raw = np.array(js) / j0
-    ez = raw[0]
-    low = ez < 0.5
-    s = np.where(low, raw[:order], raw[order:])  # s[k-1] = E v^k, v = z or w
-    central = []
-    for r in range(2, order + 1):
-        c = (-s[0]) ** r + sum(math.comb(r, k) * s[k - 1] * (-s[0]) ** (r - k)
-                               for k in range(1, r + 1))
-        central.append(c if r % 2 == 0 else np.where(low, c, -c))
-    return ez, raw[1], central
-
-
 def posterior_variance(y, tau) -> "float | np.ndarray":
     """Posterior variance of the parameter given one observation.
 
@@ -581,28 +559,12 @@ def posterior_variance(y, tau) -> "float | np.ndarray":
     so the subtraction keeps full precision at tiny tau and at large |y|.
     """
     def formula(y, t):
-        ez, _, (c2,) = _weight_moments(y, t, 2)
-        return y * y * c2 + ez
-
-    return _elementwise(formula, y, tau)
-
-
-def posterior_fourth_central(y, tau) -> "float | np.ndarray":
-    """Posterior fourth central moment of the parameter given one observation.
-
-    Uses the mixture representation: given z, the parameter is normal with
-    mean z y and variance z, so
-
-        mu4 = y^4 E[(z - Ez)^4] + 6 y^2 E[z (z - Ez)^2] + 3 E[z^2],
-
-    where E[z (z - Ez)^2] = c3 + Ez c2 in the central moments c_r of z,
-    taken as in :func:`posterior_variance`. Always at least the squared
-    posterior variance.
-    """
-    def formula(y, t):
-        ez, ez2, (c2, c3, c4) = _weight_moments(y, t, 4)
-        y2 = y * y
-        return y2 * y2 * c4 + 6.0 * y2 * (c3 + ez * c2) + 3.0 * ez2
+        j0, jz, jz2, jw, jw2 = _mixture_moments(y, t, [(0, 0), (2, 0), (4, 0), (0, 1), (0, 2)])
+        ez = jz / j0
+        low = ez < 0.5
+        m1 = np.where(low, ez, jw / j0)
+        m2 = np.where(low, jz2, jw2) / j0
+        return y * y * (m2 - m1 * m1) + ez
 
     return _elementwise(formula, y, tau)
 

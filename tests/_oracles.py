@@ -58,24 +58,11 @@ def nested_posterior_moments(y, tau):
     return mean, n2 / n0 - mean * mean
 
 
-def nested_posterior_central4(y, tau):
-    """Fourth central posterior moment by the same double quadrature."""
-    n = [_lambda_mixture_moment(y, tau, j) for j in range(5)]
-    mean = n[1] / n[0]
-    # E[(theta - mean)^4] expanded in raw moments
-    return (
-        n[4] / n[0]
-        - 4.0 * mean * n[3] / n[0]
-        + 6.0 * mean**2 * n[2] / n[0]
-        - 3.0 * mean**4
-    )
-
-
-def mp_posterior_central(y, tau, dps=40):
-    """Posterior variance and fourth central moment of theta, in mpmath.
+def mp_posterior_variance(y, tau, dps=40):
+    """Posterior variance of theta, in mpmath.
 
     Raw moments E z^k are mp.quad integrals in u = sqrt(z) with breakpoints
-    doubling from tau / 16, at ``dps`` digits, so the central moments can be
+    doubling from tau / 16, at ``dps`` digits, so the central moment can be
     formed naively without losing the float64 digits.
     """
     with mp.workdps(dps):
@@ -87,13 +74,8 @@ def mp_posterior_central(y, tau, dps=40):
                            * mp.exp(-y * y * (1 - u * u) / 2), pts)
 
         j0 = raw(0)
-        e1, e2, e3, e4 = (raw(k) / j0 for k in range(1, 5))
-        c2 = e2 - e1**2
-        c3 = e3 - 3 * e1 * e2 + 2 * e1**3
-        c4 = e4 - 4 * e1 * e3 + 6 * e1**2 * e2 - 3 * e1**4
-        var = y * y * c2 + e1
-        mu4 = y**4 * c4 + 6 * y * y * (c3 + e1 * c2) + 3 * e2
-        return float(var), float(mu4)
+        e1, e2 = (raw(k) / j0 for k in (1, 2))
+        return float(y * y * (e2 - e1**2) + e1)
 
 
 def theta_prior(theta, tau):

@@ -15,7 +15,6 @@ from hsuq.credible import (
     ExcessiveBiasReport,
     RegionLabel,
     ball_radius,
-    ball_radius_approx,
     classify_regions,
     classify_regions_adaptive,
     covers,
@@ -55,17 +54,12 @@ class TestCredibleBallType:
                 mc_draws=1000, mc_se=0.0,
             )
 
-    def test_rejects_missing_draws_unless_approx(self):
+    def test_rejects_missing_draws(self):
         with pytest.raises(ValueError):
             CredibleBall(
                 center=np.zeros(3), radius=1.0, alpha=0.05, blowup_L=1.0,
                 mc_draws=0, mc_se=0.0,
             )
-        ball = CredibleBall(
-            center=np.zeros(3), radius=1.0, alpha=0.05, blowup_L=1.0,
-            mc_draws=0, mc_se=0.0, approx=True,
-        )
-        assert ball.approx
 
 
 class TestIntervalBatch:
@@ -320,23 +314,6 @@ class TestCredibleBallOp:
                            rng=np.random.default_rng(202))
         joint = math.hypot(b1.mc_se, b2.mc_se)
         assert abs(b1.radius - b2.radius) <= 3.0 * joint
-
-    def test_moment_approximation_tracks_monte_carlo(self):
-        rng = np.random.default_rng(5)
-        Y = rng.standard_normal(3000)
-        tau = GlobalScale(0.1)
-        mc = credible_ball(Y, tau, alpha=0.05, L=1.0, draws=4096,
-                           rng=np.random.default_rng(7))
-        ap = credible_ball(Y, tau, alpha=0.05, L=1.0, draws=0,
-                           rng=None, method="approx")
-        assert ap.approx and not mc.approx
-        assert ap.mc_draws == 0
-        assert abs(ap.radius - mc.radius) / mc.radius < 0.05
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            credible_ball(np.zeros(3), GlobalScale(0.1), alpha=0.05, L=1.0,
-                          draws=1000, rng=np.random.default_rng(0), method="exact")
 
     def test_sparse_truth_contained_at_modest_blowup(self):
         # Self-similar truth, scale pinned to the sparsity rate. The

@@ -28,7 +28,6 @@ from hsuq.kernels import (
     log_marginal_density,
     log_marginal_lik,
     marginal_density,
-    posterior_fourth_central,
     posterior_mean,
     posterior_variance,
     score_m,
@@ -40,8 +39,7 @@ from _oracles import (
     kappa_bisect,
     midpoint_Ik,
     mp_H,
-    mp_posterior_central,
-    nested_posterior_central4,
+    mp_posterior_variance,
     nested_posterior_moments,
     quad_H,
     series_H_half,
@@ -116,7 +114,7 @@ class TestKernelIntegral:
 
 @pytest.mark.parametrize("name", [
     "marginal_density", "log_marginal_density", "log_marginal_lik", "log_integral_Ik",
-    "score_m", "posterior_mean", "posterior_variance", "posterior_fourth_central",
+    "score_m", "posterior_mean", "posterior_variance",
 ])
 def test_array_entry_points_name_the_nonfinite_coordinate(name):
     args = (0.1, 0.5) if name == "log_integral_Ik" else (0.1,)
@@ -139,7 +137,7 @@ calls = {
     "expansion_Hk": lambda y: kernels.expansion_Hk(y[1], 0.5),
 }
 for name in ("marginal_density", "log_marginal_density", "score_m", "posterior_mean",
-             "posterior_variance", "posterior_fourth_central"):
+             "posterior_variance"):
     calls[name] = lambda y, f=getattr(kernels, name): f(y, 0.1)
 for big in (1e155, 1e300):
     for name, call in calls.items():
@@ -164,7 +162,7 @@ def test_huge_observations_raise_in_time():
         pytest.fail(f"an entry point hung; finished before it:\n{exc.stdout}")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 24
+    assert len(lines) == 22
     assert [line for line in lines if not line.endswith("ValueError")] == []
 
 
@@ -179,7 +177,7 @@ def test_tiny_tau_raises_below_the_normal_range():
         "interval_batch": lambda t: interval_batch([0.0, 3.0, 50.0], t, 0.05),
     }
     for name in ("marginal_density", "log_marginal_density", "score_m", "posterior_mean",
-                 "posterior_variance", "posterior_fourth_central"):
+                 "posterior_variance"):
         calls[name] = lambda t, f=getattr(kernels, name): f(np.array([0.0, 3.0]), t)
     for tau in [1e-160, 1e-300]:
         for name, call in calls.items():
@@ -341,22 +339,8 @@ class TestPosteriorMoments:
                                         (1.25, 0.01), (8.0, 1e-6), (30.0, 0.01)])
     def test_central_moments_against_mpmath(self, y, tau):
         # at tiny tau and small |y| the weight z sits near 0, where moments
-        # of w = 1 - z cancel; both moments must keep full precision there
-        var, mu4 = mp_posterior_central(y, tau)
-        assert_allclose(posterior_variance(y, tau), var, rtol=1e-12)
-        assert_allclose(posterior_fourth_central(y, tau), mu4, rtol=1e-12)
-
-    def test_fourth_central_at_origin_unit_scale(self):
-        got = posterior_fourth_central(0.0, 1.0)
-        assert_allclose(got, nested_posterior_central4(0.0, 1.0), atol=1e-6)
-        assert_allclose(got, 0.6, rtol=1e-10)
-
-    def test_fourth_dominates_variance_squared(self):
-        y = np.linspace(0, 10, 21)
-        for tau in [0.01, 0.5]:
-            mu4 = posterior_fourth_central(y, tau)
-            var = posterior_variance(y, tau)
-            assert np.all(mu4 >= var * var - 1e-10)
+        # of w = 1 - z cancel; the variance must keep full precision there
+        assert_allclose(posterior_variance(y, tau), mp_posterior_variance(y, tau), rtol=1e-12)
 
     def test_mean_from_density_gradient(self):
         # posterior mean = y + d/dy log marginal, an identity worth its own check

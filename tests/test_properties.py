@@ -13,7 +13,8 @@ from hsuq import PosteriorBatch, posterior_mean, posterior_variance, score_m
 ys = st.floats(-50.0, 50.0)
 taus = st.floats(1e-4, 1.0)
 samples = st.lists(ys, min_size=1, max_size=6)
-few = settings(deadline=None, max_examples=25)
+# the same examples on every run, with no database of earlier failures
+few = settings(deadline=None, max_examples=25, derandomize=True, database=None)
 
 
 @few
@@ -32,7 +33,10 @@ def test_posterior_variance_is_positive(y, tau):
 
 @few
 @given(samples, taus, st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=8))
+@example([0.0], 0.25, [-8.5e-286, 0.0])
 def test_cdf_rows_is_nondecreasing_in_t(Y, tau, points):
+    # in the example both points fall next to the panel edge at 0, where
+    # the cdf once read 0.5000000000000002 and then 0.5000000000000001
     batch = PosteriorBatch(Y, tau)
     F = np.array([batch.cdf_rows(t) for t in sorted(points)])
     assert np.all(np.diff(F, axis=0) >= 0.0)

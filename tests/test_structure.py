@@ -3,10 +3,11 @@ kernels.py alone, where only kernels._layout maps the Gauss rule (the
 theta panels too: posterior.py names neither ndtr nor the rule), each
 replication-harness decision is made in one place, each argument rule is
 stated once, verify_theory alone parses, times and judges the theory checks,
-and scipy.optimize and scipy.integrate load only with the
-calls that use them."""
+the credible ball has one construction, and scipy.optimize and
+scipy.integrate load only with the calls that use them."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import hsuq
 from hsuq import experiments
+from hsuq.credible import CredibleBall, credible_ball
 from hsuq.posterior import PosteriorBatch
 
 LAYOUT_INTERNALS = {"_panel_edges", "_split_edges", "_panel_nodes", "_gauss_rule", "_prior"}
@@ -24,6 +26,8 @@ RULE_TEXTS = ("tau must lie in", "kernel order must be one of",
               "blow-up factor must be positive", "alpha must be in (0, 1)",
               "kS and f must be positive", "sqrt(2.0 * math.log(1.0 /",
               "value not finite", "need A > 1", "A * math.sqrt(2.0 * math.log(n / q))")
+# the moment-radius ball and the fourth-moment kernel behind it
+BALL_FORK_NAMES = ("ball_radius_approx", "posterior_fourth_central", "_weight_moments")
 
 
 def _names(tree):
@@ -86,6 +90,15 @@ def test_posterior_batch_has_one_sampler():
     # draws come from the node law itself, not from a second panel law
     for name in ("_cells", "_quantile_table", "_invert_flat"):
         assert not hasattr(PosteriorBatch, name)
+
+
+def test_credible_ball_has_one_construction():
+    # the radius is the Monte Carlo quantile alone, with no method switch
+    assert "method" not in inspect.signature(credible_ball).parameters
+    assert "approx" not in {f.name for f in dataclasses.fields(CredibleBall)}
+    src = Path(hsuq.__file__).parent
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    assert [name for name in BALL_FORK_NAMES if name in text] == []
 
 
 def test_signal_specs_draw_and_label_themselves():
