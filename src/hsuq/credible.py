@@ -102,7 +102,7 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
 
     The draws are streamed _BLOCK rows at a time (coordinates are independent
     given tau): each block is centered in place and its squared norms summed,
-    so memory beyond the node matrix W is O(_BLOCK x draws), with no (draws, n).
+    so memory is O(_BLOCK x draws), with no (draws, n) or (n, nodes) matrix.
     The sampler blocks of each draw call run on one thread pool, with one
     worker per block up to the usable CPUs, opened for this ball and joined
     before it returns; each block draws from its own child generator, so the

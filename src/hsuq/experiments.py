@@ -417,16 +417,18 @@ class RunReport:
 def run_scenario(config):
     """Run all replications and methods; returns the aggregated report.
 
-    HSUQ_THREADS > 1 runs replications in a process pool; results are
-    reduced in replication order either way. A credible ball adds a thread
-    pool of its own inside each replication (``ball_radius``).
+    HSUQ_THREADS, an integer >= 1 (default 1), above 1 runs replications in
+    a process pool; results are reduced in replication order either way. A
+    credible ball adds a thread pool of its own inside each replication.
     """
-    workers = int(os.environ.get("HSUQ_THREADS", "1"))
+    raw = os.environ.get("HSUQ_THREADS", "1")
+    if not raw.strip().isdecimal() or (workers := int(raw)) < 1:
+        raise ValueError(f"HSUQ_THREADS must be an integer >= 1, got {raw!r}")
     per_rep = []
     if workers > 1 and config.reps > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, config.reps)) as pool:
             for reports in pool.map(_run_one_rep, [config] * config.reps,
                                     range(config.reps)):
                 per_rep.extend(reports)

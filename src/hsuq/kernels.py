@@ -216,7 +216,7 @@ def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
 
 def _damp(y2, u):
     """exp(-y^2 (1 - u^2) / 2), one row per y^2, built in place in one array."""
-    d = np.multiply.outer(y2, 1.0 - u * u)
+    d = np.einsum("i,j->ij", y2, 1.0 - u * u)  # an outer product with no ufunc buffers
     d *= -0.5
     return np.exp(d, out=d)
 

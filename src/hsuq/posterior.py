@@ -16,9 +16,9 @@ u_j^2 with the row's normalized quadrature weight W_ij, on the kernels'
 layout with ``_BATCH_SPLITS`` panel halvings. Their cdfs differ by at most
 1.23e-4, next to theta = 0 where the z nodes resolve the prior's log
 singularity only to their spacing, and by at most 2.7e-7 for |t| >= 0.05
-(tested): far below Monte Carlo error. Each discretisation is built on
-first use, so a batch that only solves holds no node matrix and one that
-only draws holds no theta panels.
+(tested): far below Monte Carlo error. Only the theta law is built on
+first use; no batch holds a node matrix, since each sampler block builds
+its own rows' node law where it draws (``_node_law``).
 
 `PosteriorBatch` is the one posterior type; a single coordinate is a
 one-row batch, `PosteriorBatch([y], tau)`.
@@ -72,8 +72,7 @@ class PosteriorBatch:
     def __init__(self, Y, tau):
         self.Y = np.ascontiguousarray(_as_obs(Y, 1))
         self.tau = GlobalScale(_tau_value(tau))
-        # the sampler's z nodes, cheap beside W; laying them out checks that
-        # y^2 and tau^2 are in float range for both laws
+        # the sampler's z nodes; their layout checks y^2 and tau^2 are in float range
         self._u, self._w = _layout(self.tau.tau, float(np.max(np.abs(self.Y))), _BATCH_SPLITS)
 
     @property
@@ -87,14 +86,6 @@ class PosteriorBatch:
     @cached_property
     def variances(self):
         return posterior_variance(self.Y, self.tau.tau)
-
-    @cached_property
-    def _W(self):
-        """The sampler's (n, nodes) z node law, damped, weighted and normalised in place."""
-        W = _damp(self.Y * self.Y, self._u)
-        W *= self._w
-        W /= W.sum(axis=1, keepdims=True)
-        return W
 
     @cached_property
     def _law(self):
@@ -344,25 +335,24 @@ class PosteriorBatch:
 
         Exact draws from the z node law, the sampler's discretisation of the
         law that ``cdf_rows`` integrates in theta: each z is u_j^2 with
-        probability W_ij, independently across draws and rows. The rows
-        fall into blocks of _STREAM, counted from the slice's start, and
-        block b draws from ``rng.spawn(blocks)[b]``: its multinomial node
-        counts are expanded into its rows of one (rows, draws) buffer and
-        each row is shuffled in place, so memory stays near the output's
-        own bytes. The children depend on the seed, the number of earlier
-        spawns and the block index only, not on ``rng``'s state, so the
-        output is the same whether the blocks run in turn here or on the
-        threads of ``_pool`` (``credible.ball_radius`` passes its own).
+        probability W_ij, independently across draws and rows. The rows fall
+        into blocks of _STREAM, counted from the slice's start, and block b
+        builds its rows' W (``_node_law``) and draws from ``rng.spawn(blocks)[b]``:
+        its multinomial node counts are expanded into its rows of one (rows,
+        draws) buffer and each row is shuffled in place, so memory is the
+        output plus a (_STREAM, nodes) law per running block, O(_BLOCK x
+        draws) in a ball, with no (n, nodes) matrix. The children depend on
+        the seed, the number of earlier spawns and the block index only, not
+        on ``rng``'s state, so the output is the same whether the blocks run
+        in turn here or on the threads of ``_pool`` (``ball_radius``'s own).
         ``_streams`` are the block generators, if already spawned.
         """
-        draws = int(draws)
-        z = self._u * self._u
-        W = self._W[rows]  # a view: rows is a basic slice
-        out = np.empty((len(W), draws))
-        blocks = _blocks(W)
+        y = self.Y[rows]  # a view: rows is a basic slice
+        out = np.empty((len(y), int(draws)))
+        blocks = _blocks(y)
         if _streams is None:
             _streams = rng.spawn(len(blocks))
-        _run(_pool, partial(_draw_block, z), blocks, _streams, _blocks(out))
+        _run(_pool, partial(_draw_block, self._u, self._w), blocks, _streams, _blocks(out))
         return out.T
 
     def draw_matrix(self, draws, rng, rows=slice(None), *, _pool=None):
@@ -391,10 +381,18 @@ def _run(pool, fn, *columns):
         pass
 
 
-def _draw_block(z, W, rng, out):
-    """One block's weights into ``out`` (rows, draws): node counts, expanded, shuffled."""
-    counts = rng.multinomial(out.shape[1], W)
-    out[:] = np.repeat(np.tile(z, len(out)), counts.ravel()).reshape(out.shape)
+def _node_law(y, u, w):
+    """The (rows, nodes) z node law W of the rows y, damped, weighted and normalised in place."""
+    W = _damp(y * y, u)
+    W *= w
+    W /= W.sum(axis=1, keepdims=True)
+    return W
+
+
+def _draw_block(u, w, y, rng, out):
+    """One block's weights into ``out`` (rows, draws): node law, counts, expanded, shuffled."""
+    counts = rng.multinomial(out.shape[1], _node_law(y, u, w))
+    out[:] = np.repeat(np.tile(u * u, len(out)), counts.ravel()).reshape(out.shape)
     rng.permuted(out, axis=1, out=out)
 
 

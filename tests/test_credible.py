@@ -214,10 +214,9 @@ class TestBallRadius:
         assert abs(r - want) <= 4.0 * math.hypot(se, want_se)
 
     def test_streamed_ball_holds_no_draw_matrix(self):
-        # beyond the node matrix W the ball holds a few (_BLOCK, draws)
-        # buffers; the full (draws, n) draw matrix alone would be 80 MB
+        # the ball holds a few (_BLOCK, draws) buffers and no (n, nodes)
+        # node matrix; the full (draws, n) draw matrix alone would be 80 MB
         Y = np.random.default_rng(12).standard_normal(5000)
-        w_bytes = PosteriorBatch(Y, 0.01)._W.nbytes
         draws = 2000
         tracemalloc.start()
         try:
@@ -225,7 +224,7 @@ class TestBallRadius:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= w_bytes + 6 * _BLOCK * draws * 8
+        assert peak <= 6 * _BLOCK * draws * 8
 
     def test_radius_grows_with_dimension_on_null_data(self):
         tau = GlobalScale(0.1)

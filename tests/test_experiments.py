@@ -345,6 +345,18 @@ class TestRunScenario:
         monkeypatch.setenv("HSUQ_THREADS", "2")
         assert report_to_json(run_scenario(cfg)) == serial
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", "", "1.5"])
+    def test_rejects_a_bad_thread_count(self, value, monkeypatch, tmp_path, capsys):
+        # a non-integer or a count below 1 names the variable and its value
+        monkeypatch.setenv("HSUQ_THREADS", value)
+        with pytest.raises(ValueError, match=f"HSUQ_THREADS .* got {value!r}"):
+            run_scenario(_config())
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("name = t\nn = 60\np = 6\nsignal = fixed:4\nreps = 2\nseed = 3\n"
+                       "methods = eb-mmle\n")
+        assert cli_main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert f"HSUQ_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+
     def test_one_mmle_fit_per_replication(self, monkeypatch):
         import hsuq.experiments
 

@@ -13,7 +13,7 @@ from scipy.special import ndtr, ndtri
 
 from hsuq.credible import covers, interval_batch
 from hsuq.kernels import marginal_density, posterior_mean, posterior_variance
-from hsuq.posterior import _BLOCK, _STREAM, PosteriorBatch
+from hsuq.posterior import _BLOCK, _STREAM, PosteriorBatch, _node_law
 from hsuq.tau import mmle
 
 from _oracles import (ThetaPosterior, direct_theta_law, marginal_cdf_quad, newton_quantile,
@@ -44,11 +44,16 @@ def draws1(post, size, rng):
     return post.draw_matrix(size, rng)[:, 0]
 
 
+def node_law(post):
+    """The (n, nodes) z node law of a batch's rows, built for a test."""
+    return _node_law(post.Y, post._u, post._w)
+
+
 def rebuilt_draws(batch, draws, seed, rows):
     """(weights, noise) of the slice ``rows``, each block of _STREAM rows
     rebuilt from its own child of the seed's generator: node counts,
     expanded and shuffled per row, then the block's normal draws."""
-    W, z = batch._W[rows], batch._u * batch._u
+    W, z = _node_law(batch.Y[rows], batch._u, batch._w), batch._u * batch._u
     starts = range(0, len(W), _STREAM)
     weights, noise = [], []
     for lo, child in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
@@ -66,7 +71,7 @@ class TestShrinkWeightLaw:
         # kernel moments; Var(z) is taken from w = 1 - z to avoid cancellation
         for y, tau in REGIME_GRID + [(0.0, 1.0), (30.0, 0.01)]:
             post = one(y, tau)
-            W = post._W[0]
+            W = node_law(post)[0]
             z = post._u ** 2
             ez = float(W @ z)
             m1 = float(W @ (1.0 - z))
@@ -76,7 +81,7 @@ class TestShrinkWeightLaw:
 
     def test_sample_mean_matches_nodes(self):
         post = one(2.0, 0.1)
-        expect = float(post._W[0] @ post._u ** 2)
+        expect = float(node_law(post)[0] @ post._u ** 2)
         draws = post.draw_weights(400_000, np.random.default_rng(11))[:, 0]
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expect) < 4 * se
@@ -85,13 +90,13 @@ class TestShrinkWeightLaw:
         # the sampler draws the node law itself: each z is some u_j^2 with W_j > 0
         post = one(2.0, 0.1)
         z = post.draw_weights(100_000, np.random.default_rng(7))[:, 0]
-        assert np.all(np.isin(z, (post._u ** 2)[post._W[0] > 0.0]))
+        assert np.all(np.isin(z, (post._u ** 2)[node_law(post)[0] > 0.0]))
 
     def test_draws_follow_node_cdf(self):
         # a panel law between the nodes would miss by half a node weight (~1%)
         post = one(0.3, 0.4)
         z = post.draw_weights(400_000, np.random.default_rng(13))[:, 0]
-        nodes, cum = post._u ** 2, np.cumsum(post._W[0])
+        nodes, cum = post._u ** 2, np.cumsum(node_law(post)[0])
         for k in np.searchsorted(cum, [0.1, 0.5, 0.9]):
             se = math.sqrt(cum[k] * (1.0 - cum[k]) / z.size)
             assert abs(np.mean(z <= nodes[k]) - cum[k]) < 4 * se
@@ -197,7 +202,7 @@ class TestRandDraw:
         n = th.size
         # sample skewness of a symmetric law: n Var(g1) ~ mu6/mu2^3 - 6 mu4/mu2^2 + 9,
         # with mu2 = E z, mu4 = 3 E z^2 and mu6 = 15 E z^3 under the node law
-        W, z = post._W[0], post._u ** 2
+        W, z = node_law(post)[0], post._u ** 2
         ez, ez2, ez3 = (float(W @ z**k) for k in (1, 2, 3))
         sd = math.sqrt((15.0 * ez3 / ez**3 - 18.0 * ez2 / ez**2 + 9.0) / n)
         c = th - th.mean()
@@ -288,7 +293,7 @@ class TestPosteriorBatch:
     def test_mixture_mean_consistency(self):
         # The discretized weight law must reproduce the analytic mean.
         z = self.batch._u ** 2
-        mix = (self.batch._W * z[None, :]).sum(axis=1) * self.Y
+        mix = (node_law(self.batch) * z[None, :]).sum(axis=1) * self.Y
         assert np.max(np.abs(mix - self.batch.means)) < 1e-6
 
     # the "scalar" reference of the two tests below is a one-row batch
@@ -332,22 +337,23 @@ class TestPosteriorBatch:
                 assert abs(np.mean(M[:, i] <= t) - F) < 5 * se
 
     def test_construction_holds_one_node_matrix(self):
-        # W is built on first use, damped, weighted and normalised in place:
-        # no second or third (n, nodes) temporary while it is built
+        # a sampler block's node law is damped, weighted and normalised in
+        # place: no second or third (rows, nodes) temporary while it is built
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
+        y = batch.Y[:_STREAM]
         tracemalloc.start()
         try:
-            W = batch._W
+            W = _node_law(y, batch._u, batch._w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert W.shape == (_STREAM, len(batch._u))
         assert peak <= 1.25 * W.nbytes
 
     def test_draws_hold_one_output_matrix(self):
-        # node counts are expanded and shuffled in place, block by block
-        # (W is built before the window: the first draw would build it)
+        # each block's node law is built, and its node counts expanded and
+        # shuffled in place, block by block
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
-        batch._W
         tracemalloc.start()
         try:
             z = batch.draw_weights(2000, np.random.default_rng(1))
@@ -358,9 +364,8 @@ class TestPosteriorBatch:
 
     def test_draw_matrix_holds_three_output_matrices(self):
         # the weights, the noise and the normal draws; z * Y + sqrt(z) * N
-        # is formed in place on the weights (W is built before the window)
+        # is formed in place on the weights
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
-        batch._W
         tracemalloc.start()
         try:
             M = batch.draw_matrix(2000, np.random.default_rng(1))
@@ -477,7 +482,7 @@ class TestThetaLaw:
         for y, tau in REGIME_GRID + [(y, 0.9) for y, _ in REGIME_GRID]:
             t = np.concatenate([-near, near, np.linspace(min(y, 0.0) - 6, max(y, 0.0) + 6, 2401)])
             post = one(y, tau)
-            u, W = post._u, post._W[0]
+            u, W = post._u, node_law(post)[0]
             F = post._evaluate(np.zeros(1, dtype=int), t[None, :])[0, 0]
             gap = np.abs(F - ndtr((t[:, None] - y * u * u) / u) @ W)
             worst = max(worst, gap.max())
@@ -486,13 +491,15 @@ class TestThetaLaw:
         assert worst_away <= 5e-7
 
     def test_each_discretisation_is_built_on_first_use(self):
+        # the theta law is cached on first use; the z node law never is,
+        # so a batch that only draws holds its nodes alone
         Y = np.linspace(-3.0, 3.0, 50)
         solved = PosteriorBatch(Y, 0.1)
         solved.radius_batch(0.05), solved.quantile_rows(0.5), solved.cdf_rows(0.0)
         assert "_law" in vars(solved) and "_W" not in vars(solved)
         drawn = PosteriorBatch(Y, 0.1)
         drawn.draw_matrix(100, np.random.default_rng(0))
-        assert "_W" in vars(drawn) and "_law" not in vars(drawn)
+        assert set(vars(drawn)) == {"Y", "tau", "_u", "_w"}
 
     def test_work_per_row_does_not_grow_with_the_spread_of_y(self):
         # a row holds the core panels and the unit panels within 10 of its
@@ -712,7 +719,7 @@ class TestSolver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * batch._W.nbytes
+        assert peak <= 1.25 * batch.n * len(batch._u) * 8
 
 
 # layouts where the pilot stage (every 8th order statistic of the key and

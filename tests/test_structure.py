@@ -92,6 +92,11 @@ def test_posterior_batch_has_one_sampler():
         assert not hasattr(PosteriorBatch, name)
 
 
+def test_posterior_batch_holds_no_node_matrix():
+    # each sampler block builds its own rows' node law where it draws
+    assert not hasattr(PosteriorBatch, "_W")
+
+
 def test_credible_ball_has_one_construction():
     # the radius is the Monte Carlo quantile alone, with no method switch
     assert "method" not in inspect.signature(credible_ball).parameters
