@@ -165,11 +165,16 @@ class Chain:
         """Write iter, tau, and the chosen theta columns (all by default).
 
         The iter column is the absolute sweep index the snapshot was
-        taken at, so thinning and burn-in stay visible in the export.
+        taken at, so thinning and burn-in stay visible in the export. A
+        coordinate outside [0, n_coords) raises ValueError before the file
+        is opened.
         """
         if coords is None:
             coords = range(self.n_coords)
         coords = [int(i) for i in coords]
+        bad = [i for i in coords if not 0 <= i < self.n_coords]
+        if bad:
+            raise ValueError(f"coordinate {bad[0]} is outside [0, {self.n_coords})")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "tau"] + [f"theta_{i + 1}" for i in coords])

@@ -179,34 +179,26 @@ _SWEEP_CHUNK = 1024  # the tau sweep's product has 600 rows per y: ~5 MB a block
 _GAUSS_ORDER = 16
 _GAUSS_RULE = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
-#: Panel halvings of the sampler's z node law (PosteriorBatch.draw_weights).
-#: One posterior law, two discretisations: the solvers integrate it in theta
-#: (_theta_panels), the sampler draws it on these z nodes. The splits fix
-#: only the sampler's law and the ball's stream of draws; at 2 splits the
-#: z law's cdf is within 1.23e-4 of the theta law's next to 0 and within
-#: 2.7e-7 for |t| >= 0.05 (tested).
-_BATCH_SPLITS = 2
-
 
 def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
     """Panel breakpoints on [0, 1] for the J-integrals.
 
     Geometric gradation toward u = 0 at the scale of the rational knee
-    (u ~ tau) and toward u = 1 at the scale of the exponential layer
-    (1 - u ~ 1/y^2). The layer needs y^2 finite, which holds for
-    |y| < 1.34e154, and the knee needs tau^2 normal, which holds for
-    tau >= 1.49e-154; outside either range it raises ValueError.
+    (u ~ tau), from tau / 8 up, at every tau, and toward u = 1 at the
+    scale of the exponential layer (1 - u ~ 1/y^2). The layer needs y^2
+    finite, which holds for |y| < 1.34e154, and the knee needs tau^2
+    normal, which holds for tau >= 1.49e-154; outside either range it
+    raises ValueError.
     """
     if not math.isfinite(y_abs_max * y_abs_max):
         raise ValueError(f"|y| = {y_abs_max:g} is out of range: its square overflows")
     if tau * tau < sys.float_info.min:
         raise ValueError(f"tau = {tau:g} is out of range: its square underflows")
     pts = [0.0, 0.5, 1.0]
-    if tau < 0.4:
-        e = tau / 8.0
-        while e < 0.4:
-            pts.append(e)
-            e *= 2.0
+    e = tau / 8.0
+    while e < 0.4:
+        pts.append(e)
+        e *= 2.0
     t = min(0.25, 1.0 / (1.0 + y_abs_max * y_abs_max)) / 4.0
     while t < 0.5:
         pts.append(1.0 - t)

@@ -12,13 +12,13 @@ One posterior law, two discretisations. The solvers (``cdf_rows``,
 ``quantile_rows``, ``radius_batch``) integrate the theta density on panels
 graded into theta = 0 (``kernels._theta_panels``) plus unit panels near
 each row's y. The sampler draws the z node law: each z is the node value
-u_j^2 with the row's normalized quadrature weight W_ij, on the kernels'
-layout with ``_BATCH_SPLITS`` panel halvings. Their cdfs differ by at most
-1.23e-4, next to theta = 0 where the z nodes resolve the prior's log
-singularity only to their spacing, and by at most 2.7e-7 for |t| >= 0.05
-(tested): far below Monte Carlo error. Only the theta law is built on
-first use; no batch holds a node matrix, since each sampler block builds
-its own rows' node law where it draws (``_node_law``).
+u_j^2 with the row's normalized quadrature weight W_ij, on the one layout
+of the kernels (``kernels._layout``). Their cdfs differ by at most 6.0e-5,
+next to theta = 0 where the z nodes resolve the prior's log singularity
+only to their spacing, and by at most 8.4e-8 for |t| >= 0.05 (tested):
+far below Monte Carlo error. Only the theta law is built on first use; no
+batch holds a node matrix, since each sampler block builds its own rows'
+node law where it draws (``_node_law``).
 
 `PosteriorBatch` is the one posterior type; a single coordinate is a
 one-row batch, `PosteriorBatch([y], tau)`.
@@ -30,7 +30,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .kernels import (
-    _BATCH_SPLITS,
     GlobalScale,
     _as_obs,
     _check_level,
@@ -72,8 +71,9 @@ class PosteriorBatch:
     def __init__(self, Y, tau):
         self.Y = np.ascontiguousarray(_as_obs(Y, 1))
         self.tau = GlobalScale(_tau_value(tau))
-        # the sampler's z nodes; their layout checks y^2 and tau^2 are in float range
-        self._u, self._w = _layout(self.tau.tau, float(np.max(np.abs(self.Y))), _BATCH_SPLITS)
+        # the sampler's z nodes, the kernels' own; the layout checks y^2 and tau^2
+        # are in float range
+        self._u, self._w = _layout(self.tau.tau, float(np.max(np.abs(self.Y))))
 
     @property
     def n(self):

@@ -426,6 +426,17 @@ class TestChainExport:
         npt.assert_allclose(rows["theta_1"], chain.thetas[:, 0], rtol=1e-10)
         npt.assert_allclose(rows["theta_4"], chain.thetas[:, 3], rtol=1e-10)
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_csv_rejects_a_coordinate_out_of_range(self, tmp_path, bad):
+        # -1 would index the last coordinate under the header theta_0, and 5
+        # would fail only after the header is written
+        chain = run_chain(_mixed_data(n=5, seed=12), HyperPrior.point_mass(0.2),
+                          iters=20, burn_in=10, seed=9)
+        path = tmp_path / "chain.csv"
+        with pytest.raises(ValueError, match=f"coordinate {bad} "):
+            chain.to_csv(path, coords=[0, bad])
+        assert not path.exists()
+
 
 class TestMcse:
     def test_iid_mean_se_is_calibrated(self):

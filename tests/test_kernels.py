@@ -336,10 +336,13 @@ class TestPosteriorMoments:
         assert abs(posterior_variance(8.0, tau) - 1.0) <= 1.0 / zeta(tau) ** 2
 
     @pytest.mark.parametrize("y, tau", [(1.25, 1e-6), (0.5, 1e-6), (3.0, 1e-6),
-                                        (1.25, 0.01), (8.0, 1e-6), (30.0, 0.01)])
+                                        (1.25, 0.01), (8.0, 1e-6), (30.0, 0.01),
+                                        (0.3, 0.4), (1.25, 0.5), (6.0, 0.7),
+                                        (3.0, 0.9), (0.5, 1.0)])
     def test_central_moments_against_mpmath(self, y, tau):
         # at tiny tau and small |y| the weight z sits near 0, where moments
-        # of w = 1 - z cancel; the variance must keep full precision there
+        # of w = 1 - z cancel; the variance must keep full precision there,
+        # and on the knee panels that tau >= 0.4 grades too
         assert_allclose(posterior_variance(y, tau), mp_posterior_variance(y, tau), rtol=1e-12)
 
     def test_mean_from_density_gradient(self):

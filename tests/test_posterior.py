@@ -338,7 +338,9 @@ class TestPosteriorBatch:
 
     def test_construction_holds_one_node_matrix(self):
         # a sampler block's node law is damped, weighted and normalised in
-        # place: no second or third (rows, nodes) temporary while it is built
+        # place: no second or third (rows, nodes) temporary while it is built.
+        # Each broadcast in-place step takes numpy's one iterator buffer,
+        # 8 * getbufsize() bytes, which at 256 nodes is not inside 25% of W
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
         y = batch.Y[:_STREAM]
         tracemalloc.start()
@@ -348,7 +350,7 @@ class TestPosteriorBatch:
         finally:
             tracemalloc.stop()
         assert W.shape == (_STREAM, len(batch._u))
-        assert peak <= 1.25 * W.nbytes
+        assert peak <= 1.25 * W.nbytes + 8 * np.getbufsize()
 
     def test_draws_hold_one_output_matrix(self):
         # each block's node law is built, and its node counts expanded and
@@ -474,9 +476,10 @@ class TestThetaLaw:
 
     def test_sampler_law_stays_near_the_solver_law(self):
         # one posterior law, two discretisations: the z node law that the
-        # sampler draws misses the theta law by at most 1.23e-4, next to
-        # theta = 0, where its nodes resolve the prior's log singularity
-        # only to their spacing, and by at most 2.7e-7 for |t| >= 0.05
+        # sampler draws, on the kernels' own nodes, misses the theta law by
+        # at most 6.0e-5, next to theta = 0, where its nodes resolve the
+        # prior's log singularity only to their spacing, and by at most
+        # 8.4e-8 for |t| >= 0.05 (measured)
         near = np.geomspace(1e-7, 1.0, 1000)
         worst = worst_away = 0.0
         for y, tau in REGIME_GRID + [(y, 0.9) for y, _ in REGIME_GRID]:
@@ -719,7 +722,9 @@ class TestSolver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * batch.n * len(batch._u) * 8
+        # 25% over one (5000, 960)-double matrix, a bound fixed in bytes: the
+        # radius solve never touches the sampler's z nodes
+        assert peak <= 1.25 * 5000 * 960 * 8
 
 
 # layouts where the pilot stage (every 8th order statistic of the key and

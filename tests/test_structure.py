@@ -3,8 +3,9 @@ kernels.py alone, where only kernels._layout maps the Gauss rule (the
 theta panels too: posterior.py names neither ndtr nor the rule), each
 replication-harness decision is made in one place, each argument rule is
 stated once, verify_theory alone parses, times and judges the theory checks,
-the credible ball has one construction, and scipy.optimize and
-scipy.integrate load only with the calls that use them."""
+the credible ball has one construction, the sampler draws on the kernels'
+one z layout, and scipy.optimize and scipy.integrate load only with the
+calls that use them."""
 
 import ast
 import dataclasses
@@ -14,9 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hsuq
 from hsuq import experiments
 from hsuq.credible import CredibleBall, credible_ball
+from hsuq.kernels import _layout
 from hsuq.posterior import PosteriorBatch
 
 LAYOUT_INTERNALS = {"_panel_edges", "_split_edges", "_panel_nodes", "_gauss_rule", "_prior"}
@@ -86,6 +90,17 @@ def test_posterior_batch_takes_no_layout_argument():
     assert "splits" not in inspect.signature(PosteriorBatch).parameters
 
 
+def test_sampler_draws_on_the_kernels_layout():
+    # one z layout: the batch's nodes and weights are the kernels' own
+    src = Path(hsuq.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "_BATCH_SPLITS" in p.read_text()] == []
+    Y = np.random.default_rng(3).standard_normal(40) * 3.0
+    for tau in (0.01, 0.5, 1.0):
+        batch = PosteriorBatch(Y, tau)
+        u, w = _layout(tau, float(np.max(np.abs(Y))))
+        assert np.array_equal(batch._u, u) and np.array_equal(batch._w, w)
+
+
 def test_posterior_batch_has_one_sampler():
     # draws come from the node law itself, not from a second panel law
     for name in ("_cells", "_quantile_table", "_invert_flat"):
@@ -145,6 +160,7 @@ def loaded():
     return [m for m in LAZY if m in sys.modules]
 
 seen = {"import": loaded()}
+hsuq.kernels.kappa_threshold(0.01)
 Y = np.random.default_rng(0).standard_normal(300)
 hsuq.credible_ball(Y, 0.05, 0.05, 1.0, 1000, np.random.default_rng(1))
 hsuq.run_chain(Y, hsuq.HyperPrior.truncated_half_cauchy(), iters=50, burn_in=10)
