@@ -54,7 +54,7 @@ class CredibleBall:
     mc_se: float
 
     def __post_init__(self):
-        if self.radius <= 0.0 and len(self.center) >= 1 and self.alpha < 1.0:
+        if not self.radius > 0.0:
             raise ValueError("ball radius must be positive")
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be a positive integer")
@@ -101,7 +101,7 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     """(1-alpha) quantile of ||theta - mean|| over joint posterior draws.
 
     The draws are streamed _BLOCK rows at a time (coordinates are independent
-    given tau): each block is centered in place and its squared norms summed,
+    given tau): each block is centred in place and its squared norms summed,
     so memory is O(_BLOCK x draws), with no (draws, n) or (n, nodes) matrix.
     The sampler blocks of each draw call run on one thread pool, with one
     worker per block up to the usable CPUs, opened for this ball and joined
@@ -139,7 +139,7 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
 
 
 def credible_ball(Y, tau, alpha, L, draws, rng):
-    """Credible ball centered at the posterior mean vector, with the Monte
+    """Credible ball centred at the posterior mean vector, with the Monte
     Carlo radius of :func:`ball_radius` blown up by L."""
     _check_level(alpha, L)
     Y = _as_obs(Y, 1)
@@ -191,7 +191,7 @@ def classify_regions_adaptive(theta0, n, p, kS=1.0, kM=0.9, kL=1.1, f=2.0):
             f"regions overlap: medium floor f*tau_n = {f * tn:.4g} does not exceed "
             f"small ceiling kS/n = {kS / n:.4g}"
         )
-    large_lo = kL * math.sqrt(2.0 * math.log(n))
+    large_lo = kL * zeta(1.0 / n)
     return _region_split(theta0, kS / n, f * tn, kM * zeta(tn), large_lo)
 
 
@@ -215,10 +215,8 @@ def self_similar_check(theta0, p, A=2.0, Cs=1.0):
     if not Cs >= 1.0:
         raise ValueError(f"need Cs >= 1, got {Cs}")
     a = np.sort(np.abs(_as_obs(theta0, 1)))
-    n = a.size
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}")
-    return _count_at_least(a, threshold(n, p)) >= p / Cs
+    SparsityRate(a.size, p)  # needs 1 <= p <= n
+    return _count_at_least(a, threshold(a.size, p)) >= p / Cs
 
 
 def excessive_bias_diagnostic(theta0, A=2.0, Cs=1.0, C=None):

@@ -135,7 +135,7 @@ class ThreeGroup:
         return "three_group:" + ",".join(str(c) for c in self.counts)
 
     def values(self, n, p):
-        return (1.0 / n, 0.5 * zeta(SparsityRate(n, p).tau_n), 1.5 * math.sqrt(2.0 * math.log(n)))
+        return (1.0 / n, 0.5 * zeta(SparsityRate(n, p).tau_n), 1.5 * zeta(1.0 / n))
 
     def draw(self, rng, n, p):
         return np.repeat(self.values(n, p), self.counts)
@@ -714,7 +714,7 @@ def _check_region_coverage(tau, n):
 
 def _check_ball_coverage(n, p, reps, L):
     tau = GlobalScale(SparsityRate(n, p).tau_n)
-    sig = 2.0 * math.sqrt(2.0 * math.log(n / p))
+    sig = 2.0 * zeta(p / n)
     theta = np.concatenate([np.full(p, sig), np.zeros(n - p)])
     hits = 0
     for rep in range(reps):

@@ -302,27 +302,14 @@ def _check_chain(chain, alpha, L):
     _check_level(alpha, L)
 
 
-def hb_marginal_intervals(chain, alpha, L=1.0, method="quantile"):
+def hb_marginal_intervals(chain, alpha, L=1.0):
     """Per-coordinate credible intervals from the kept draws, as the
-    record array of interval_batch.
-
-    method="quantile" takes the equal-tail alpha/2 and 1-alpha/2
-    empirical quantiles, reported as midpoint plus half-range.
-    method="centered" centers at the chain mean and uses the empirical
-    (1-alpha) quantile of the absolute deviation as the radius.
+    record array of interval_batch: the equal-tail alpha/2 and
+    1-alpha/2 empirical quantiles, reported as midpoint plus half-range.
     """
     _check_chain(chain, alpha, L)
-    T = chain.thetas
-    if method == "quantile":
-        lo, hi = np.quantile(T, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
-        centers = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * L
-    elif method == "centered":
-        centers = T.mean(axis=0)
-        half = L * np.quantile(np.abs(T - centers[None, :]), 1.0 - alpha, axis=0)
-    else:
-        raise ValueError(f"unknown interval method {method!r}")
-    return _intervals(centers, half)
+    lo, hi = np.quantile(chain.thetas, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
+    return _intervals(0.5 * (lo + hi), 0.5 * (hi - lo) * L)
 
 
 def hb_ball(chain, alpha, L=1.0):

@@ -161,11 +161,11 @@ def _order_value(k) -> float:
 
 
 def _check_level(alpha, L=1.0):
-    """Check a credible level 1 - alpha and a blow-up factor L; NaN fails both."""
+    """Check a credible level 1 - alpha and a finite blow-up factor L; NaN fails both."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not L > 0.0:
-        raise ValueError(f"blow-up factor must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"blow-up factor must be positive and finite, got {L}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,12 @@ _GAUSS_ORDER = 16
 _GAUSS_RULE = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
+def _check_square(y_abs):
+    """Reject |y| whose square overflows, |y| >= 1.34e154."""
+    if not math.isfinite(y_abs * y_abs):
+        raise ValueError(f"|y| = {y_abs:g} is out of range: its square overflows")
+
+
 def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
     """Panel breakpoints on [0, 1] for the J-integrals.
 
@@ -190,8 +196,7 @@ def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
     normal, which holds for tau >= 1.49e-154; outside either range it
     raises ValueError.
     """
-    if not math.isfinite(y_abs_max * y_abs_max):
-        raise ValueError(f"|y| = {y_abs_max:g} is out of range: its square overflows")
+    _check_square(y_abs_max)
     if tau * tau < sys.float_info.min:
         raise ValueError(f"tau = {tau:g} is out of range: its square underflows")
     pts = [0.0, 0.5, 1.0]
@@ -618,9 +623,8 @@ def expansion_Hk(y: float, k) -> float:
     """
     kk = _order_value(k)
     (yv,) = _as_obs(y, 1).tolist()
+    _check_square(abs(yv))
     x = 0.5 * yv * yv
-    if math.isinf(x):
-        raise ValueError(f"|y| = {abs(yv):g} is out of range: its square overflows")
     if kk < 0.0 and yv == 0.0:
         raise ValueError("y must be nonzero for negative orders")
     h = math.inf  # beyond x = 720, H_k > 1e309 at every order, and hyp1f1 can stall

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import GlobalScale, _as_obs, _tau_sweep, _tau_value, log_marginal_lik, score_m
+from .kernels import GlobalScale, _as_obs, _tau_sweep, _tau_value, log_marginal_lik, score_m, zeta
 
 __all__ = ["TauMethod", "TauEstimate", "mmle", "simple_estimator", "score_sum", "fixed_tau"]
 
@@ -95,15 +95,15 @@ def mmle(Y) -> TauEstimate:
 
 
 def simple_estimator(Y, c1=2.0, c2=1.0) -> TauEstimate:
-    """Counting estimator: exceedances of sqrt(c2 * 2 log n), floored at
-    one, divided by c1 * n, clamped to [1/n, 1]."""
+    """Counting estimator: exceedances of sqrt(c2) zeta(1/n) = sqrt(c2 * 2 log n),
+    floored at one, divided by c1 * n, clamped to [1/n, 1]."""
     arr = _as_obs(Y, 2)
     if not c1 >= 1.0:
         raise ValueError(f"need c1 >= 1, got {c1}")
     if not c2 > 0.0:
         raise ValueError(f"need c2 > 0, got {c2}")
     n = arr.size
-    threshold = math.sqrt(c2 * 2.0 * math.log(n))
+    threshold = math.sqrt(c2) * zeta(1.0 / n)
     count = int(np.sum(np.abs(arr) >= threshold))
     raw = max(1, count) / (c1 * n)
     clamped = min(max(raw, 1.0 / n), 1.0)

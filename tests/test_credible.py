@@ -48,11 +48,13 @@ class TestCredibleBallType:
         assert not ball.contains(np.full(4, 0.51))
 
     def test_rejects_zero_radius(self):
-        with pytest.raises(ValueError):
-            CredibleBall(
-                center=np.zeros(3), radius=0.0, alpha=0.05, blowup_L=1.0,
-                mc_draws=1000, mc_se=0.0,
-            )
+        # NaN fails too, and so does an empty center
+        for center, radius in ((np.zeros(3), 0.0), (np.zeros(3), math.nan), (np.zeros(0), 0.0)):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                CredibleBall(
+                    center=center, radius=radius, alpha=0.05, blowup_L=1.0,
+                    mc_draws=1000, mc_se=0.0,
+                )
 
     def test_rejects_missing_draws(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsuq.credible import interval_batch
+from hsuq.credible import credible_ball, interval_batch
 from hsuq.experiments import (
     THEORY_CHECKS,
     FixedValue,
@@ -33,6 +33,7 @@ from hsuq.experiments import (
     run_scenario,
     verify_theory,
 )
+from hsuq.hierarchical import Chain, hb_marginal_intervals
 from hsuq.kernels import GlobalScale, SparsityRate, posterior_mean, posterior_variance
 
 
@@ -610,6 +611,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("radius ")
         assert "mc_se " in out
+
+
+def test_infinite_blowup_is_rejected_everywhere(tmp_path, capsys):
+    # an infinite L would give infinite half-widths and a ball holding every point
+    Y = np.array([3.0, 0.5, -1.0])
+    chain = Chain(thetas=np.zeros((100, 3)), taus=np.full(100, 0.1), burn_in=0, thin=1, seed=0)
+    calls = (
+        lambda: interval_batch(Y, 0.1, 0.05, L=math.inf),
+        lambda: credible_ball(Y, 0.1, 0.05, math.inf, 1000, np.random.default_rng(0)),
+        lambda: hb_marginal_intervals(chain, 0.05, L=math.inf),
+        lambda: _config(blowup_L=math.inf),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="blow-up factor must be positive and finite"):
+            call()
+    obs = tmp_path / "obs.txt"
+    obs.write_text("3.0\n0.5\n-1.0\n")
+    assert cli_main(["intervals", str(obs), "--tau", "0.1", "--L", "inf"]) == 2
+    assert "blow-up factor must be positive and finite" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():

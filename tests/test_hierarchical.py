@@ -311,11 +311,9 @@ class TestMarginalIntervals:
         return Chain(thetas=thetas, taus=np.full(200, 0.1), burn_in=0, thin=1, seed=0)
 
     def test_constant_chain_gives_zero_width(self):
-        chain = self._constant_chain()
-        for method in ("quantile", "centered"):
-            ivs = hb_marginal_intervals(chain, alpha=0.05, method=method)
-            assert [iv.center for iv in ivs] == [1.5, -2.0, 0.0]
-            assert all(iv.half_width == 0.0 for iv in ivs)
+        ivs = hb_marginal_intervals(self._constant_chain(), alpha=0.05)
+        assert [iv.center for iv in ivs] == [1.5, -2.0, 0.0]
+        assert all(iv.half_width == 0.0 for iv in ivs)
 
     def test_quantile_method_matches_empirical_quantiles(self):
         rng = np.random.default_rng(23)
@@ -327,17 +325,6 @@ class TestMarginalIntervals:
             hi = np.quantile(thetas[:, i], 0.95)
             assert iv.center - iv.half_width == pytest.approx(lo, rel=1e-12)
             assert iv.center + iv.half_width == pytest.approx(hi, rel=1e-12)
-
-    def test_centered_method_scales_with_blowup(self):
-        rng = np.random.default_rng(29)
-        thetas = rng.standard_normal((2000, 3))
-        chain = Chain(thetas=thetas, taus=np.full(2000, 0.1), burn_in=0, thin=1, seed=0)
-        base = hb_marginal_intervals(chain, alpha=0.05, method="centered")
-        wide = hb_marginal_intervals(chain, alpha=0.05, L=2.0, method="centered")
-        for i, (a, b) in enumerate(zip(base, wide)):
-            assert a.center == b.center
-            assert b.half_width == pytest.approx(2.0 * a.half_width, rel=1e-12)
-            npt.assert_allclose(a.center, thetas[:, i].mean(), rtol=1e-12)
 
     def test_fixed_tau_endpoints_match_quadrature(self):
         Y = _mixed_data()
@@ -358,8 +345,6 @@ class TestMarginalIntervals:
         with pytest.raises(ValueError, match="100"):
             hb_marginal_intervals(short, alpha=0.05)
         chain = self._constant_chain()
-        with pytest.raises(ValueError):
-            hb_marginal_intervals(chain, alpha=0.05, method="exact")
         for L in (0.0, math.nan):
             with pytest.raises(ValueError, match="blow-up"):
                 hb_marginal_intervals(chain, alpha=0.05, L=L)

@@ -3,7 +3,8 @@ kernels.py alone, where only kernels._layout maps the Gauss rule (the
 theta panels too: posterior.py names neither ndtr nor the rule), each
 replication-harness decision is made in one place, each argument rule is
 stated once, verify_theory alone parses, times and judges the theory checks,
-the credible ball has one construction, the sampler draws on the kernels'
+the credible ball and the HB marginal intervals have one construction each,
+the universal threshold has one formula, the sampler draws on the kernels'
 one z layout, and scipy.optimize and scipy.integrate load only with the
 calls that use them."""
 
@@ -20,6 +21,7 @@ import numpy as np
 import hsuq
 from hsuq import experiments
 from hsuq.credible import CredibleBall, credible_ball
+from hsuq.hierarchical import hb_marginal_intervals
 from hsuq.kernels import _layout
 from hsuq.posterior import PosteriorBatch
 
@@ -29,7 +31,8 @@ SIGNAL_CLASSES = {"FixedValue", "NormalAround", "ThreeGroup", "FromDistribution"
 RULE_TEXTS = ("tau must lie in", "kernel order must be one of",
               "blow-up factor must be positive", "alpha must be in (0, 1)",
               "kS and f must be positive", "sqrt(2.0 * math.log(1.0 /",
-              "value not finite", "need A > 1", "A * math.sqrt(2.0 * math.log(n / q))")
+              "value not finite", "need A > 1", "A * math.sqrt(2.0 * math.log(n / q))",
+              "its square overflows", "need 1 <= p <= n")
 # the moment-radius ball and the fourth-moment kernel behind it
 BALL_FORK_NAMES = ("ball_radius_approx", "posterior_fourth_central", "_weight_moments")
 
@@ -52,6 +55,10 @@ def _scoped_nodes(node, scope=""):
             continue
         yield scope.rstrip("."), child
         yield from _scoped_nodes(child, scope)
+
+
+def _constants(tree):
+    return {repr(node.value) for node in ast.walk(tree) if isinstance(node, ast.Constant)}
 
 
 def _read_name(node):
@@ -119,6 +126,24 @@ def test_credible_ball_has_one_construction():
     src = Path(hsuq.__file__).parent
     text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
     assert [name for name in BALL_FORK_NAMES if name in text] == []
+
+
+def test_hb_marginal_intervals_have_one_construction():
+    # the equal-tail chain quantiles, with no method switch
+    assert list(inspect.signature(hb_marginal_intervals).parameters) == ["chain", "alpha", "L"]
+    src = Path(hsuq.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if '"centered"' in p.read_text()] == []
+
+
+def test_universal_threshold_is_written_in_zeta_alone():
+    # every sqrt(2 log(.)) goes through zeta, except the exceedance rule
+    # A sqrt(2 log(n/q)), stated once in its own helper (see RULE_TEXTS)
+    src = Path(hsuq.__file__).parent
+    scopes = {(path.name, scope) for path in sorted(src.glob("*.py"))
+              for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and _read_name(node.func) == "sqrt"
+              and {"log", "2.0"} <= set(_names(node.args[0])) | _constants(node.args[0])}
+    assert scopes == {("kernels.py", "zeta"), ("credible.py", "_exceedance_threshold")}
 
 
 def test_signal_specs_draw_and_label_themselves():
