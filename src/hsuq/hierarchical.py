@@ -127,9 +127,15 @@ class GibbsState:
     xi: float
 
     def __post_init__(self):
+        shape = self.theta.shape
+        if len(shape) != 1 or self.lambda2.shape != shape or self.nu.shape != shape:
+            raise ValueError(
+                f"theta, lambda2 and nu must be 1-D of one length, got shapes "
+                f"{shape}, {self.lambda2.shape} and {self.nu.shape}"
+            )
         # min/max comparisons are False on NaN, so NaN fails too
         for x in (self.lambda2, self.nu):
-            if not (x.min() > 0.0 and x.max() < math.inf):
+            if not (np.minimum.reduce(x) > 0.0 and np.maximum.reduce(x) < math.inf):
                 raise ValueError("local scales and auxiliaries must be positive and finite")
         if not (0.0 < self.tau2 < math.inf and 0.0 < self.xi < math.inf):
             raise ValueError("tau2 and xi must be positive and finite")
@@ -188,14 +194,21 @@ def _invgamma(rng, shape, scale):
     return 1.0 / rng.gamma(shape, 1.0 / scale)
 
 
-def _invexp(rng, scale, size=None):
+def _invexp(rng, scale):
     """InvGamma(1, scale), bit-identical to _invgamma(rng, 1.0, scale).
 
     numpy's shape-1 gamma is the ziggurat exponential times the scale,
     so this draws the same stream without gamma's per-element
     broadcasting of an array scale.
     """
-    return 1.0 / (rng.standard_exponential(size) * (1.0 / scale))
+    return 1.0 / (rng.standard_exponential() * (1.0 / scale))
+
+
+def _invexp_into(rng, scale, buf):
+    """_invexp over an array scale, written over it; buf is scratch."""
+    np.divide(1.0, scale, out=scale)
+    scale *= rng.standard_exponential(out=buf)
+    np.divide(1.0, scale, out=scale)
 
 
 def _trunc_invgamma(rng, shape, scale, lo, hi):
@@ -231,18 +244,35 @@ def _trunc_invgamma(rng, shape, scale, lo, hi):
 
 
 def gibbs_step(state, Y, prior, rng):
-    """One full sweep; returns a new state, the input is untouched."""
+    """One full sweep; returns a new state, the input is untouched.
+
+    The arithmetic runs in place on arrays the sweep allocates, with the
+    operands of the conditional laws above in their order, so the draws
+    equal those of the plain array expressions bit for bit.
+    """
     Y = np.asarray(Y, dtype=float)
     n = Y.size
+    if state.theta.size != n:
+        raise ValueError(f"state has {state.theta.size} coordinates but Y has {n}")
     tau2 = state.tau2
-    s2 = state.lambda2 * tau2
-    w = s2 / (1.0 + s2)
-    theta = w * Y + np.sqrt(w) * rng.standard_normal(n)
-    lam2 = _invexp(rng, 1.0 / state.nu + theta * theta / (2.0 * tau2), n)
-    nu = _invexp(rng, 1.0 + 1.0 / lam2, n)
+    w = state.lambda2 * tau2
+    b = w + 1.0
+    w /= b                                      # s2 / (1 + s2)
+    theta = w * Y
+    np.sqrt(w, out=w)
+    w *= rng.standard_normal(out=b)
+    theta += w                                  # w Y + sqrt(w) z
+    t2 = np.multiply(theta, theta, out=w)       # theta^2, read twice
+    lam2 = 1.0 / state.nu
+    lam2 += np.divide(t2, 2.0 * tau2, out=b)
+    _invexp_into(rng, lam2, b)
+    nu = 1.0 / lam2
+    nu += 1.0
+    _invexp_into(rng, nu, b)
     xi = state.xi
     if prior.kind is not HyperPriorKind.POINT_MASS:
-        S = float(np.sum(theta * theta / (2.0 * lam2)))
+        np.multiply(lam2, 2.0, out=b)
+        S = float(np.add.reduce(np.divide(t2, b, out=b)))
         if prior.kind is HyperPriorKind.HALF_CAUCHY:
             tau2 = _invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S)
             xi = _invexp(rng, 1.0 + 1.0 / tau2)
@@ -302,21 +332,57 @@ def _check_chain(chain, alpha, L):
     _check_level(alpha, L)
 
 
+def _column_quantiles(x, q):
+    """np.quantile(x, q, axis=0) for a 2-D x and 1-D q, bit for bit.
+
+    One transposed copy is sorted in place along its rows, so each
+    column's order statistics sit in contiguous memory. Every level is
+    then read by numpy's "linear" rule: virtual index (N-1) q, and the
+    interpolation of numpy's _lerp, including its second form for
+    weights of 1/2 or more. A column holding NaN sorts it last and reads
+    NaN at every level, as np.quantile does.
+    """
+    s = x.T.copy()
+    s.sort(axis=1)
+    N = s.shape[1]
+    v = (N - 1) * np.asarray(q, dtype=float)
+    prev = np.floor(v)
+    nxt = prev + 1.0
+    top = v >= N - 1
+    prev[top] = nxt[top] = -1.0
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    t = (v - prev)[:, None]
+    a, b = s[:, prev].T, s[:, nxt].T
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    last = s[:, -1]
+    np.copyto(out, last, where=np.isnan(last))
+    return out
+
+
 def hb_marginal_intervals(chain, alpha, L=1.0):
     """Per-coordinate credible intervals from the kept draws, as the
     record array of interval_batch: the equal-tail alpha/2 and
     1-alpha/2 empirical quantiles, reported as midpoint plus half-range.
+    The quantiles are exact order statistics of one sorted copy of the
+    draws, equal bit for bit to np.quantile's default method.
     """
     _check_chain(chain, alpha, L)
-    lo, hi = np.quantile(chain.thetas, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
+    lo, hi = _column_quantiles(chain.thetas, [alpha / 2.0, 1.0 - alpha / 2.0])
     return _intervals(0.5 * (lo + hi), 0.5 * (hi - lo) * L)
 
 
 def hb_ball(chain, alpha, L=1.0):
-    """L2 credible ball around the chain mean vector."""
+    """L2 credible ball around the chain mean vector.
+
+    The distances are np.linalg.norm's sqrt(add.reduce(d * d, axis=1)),
+    squared in place on the one centred copy of the draws.
+    """
     _check_chain(chain, alpha, L)
     center = chain.theta_mean
-    dist = np.linalg.norm(chain.thetas - center[None, :], axis=1)
+    d = chain.thetas - center[None, :]
+    dist = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=1))
     r = float(np.quantile(dist, 1.0 - alpha))
     se = mcse_quantile(dist, 1.0 - alpha)
     return CredibleBall(

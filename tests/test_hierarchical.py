@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from hsuq.hierarchical import (
     GibbsState,
     HyperPrior,
     HyperPriorKind,
+    _column_quantiles,
     gibbs_step,
     hb_ball,
     hb_marginal_intervals,
@@ -111,9 +113,29 @@ class TestGibbsStep:
             theta=np.zeros(4), lambda2=np.ones(4), nu=np.ones(4), tau2=0.01, xi=1.0,
         )
         theta_before = state.theta.copy()
+        lambda2_before, nu_before = state.lambda2.copy(), state.nu.copy()
         gibbs_step(state, np.ones(4), HyperPrior.half_cauchy(), np.random.default_rng(0))
         npt.assert_array_equal(state.theta, theta_before)
         assert state.tau2 == 0.01
+        npt.assert_array_equal(state.lambda2, lambda2_before)
+        npt.assert_array_equal(state.nu, nu_before)
+        assert state.xi == 1.0
+
+    @pytest.mark.parametrize("shapes", [((4,), (3,), (4,)), ((4,), (4,), (5,)),
+                                        ((2, 2), (2, 2), (2, 2))])
+    def test_rejects_arrays_of_unequal_length_or_not_1d(self, shapes):
+        theta, lam2, nu = (np.ones(s) for s in shapes)
+        with pytest.raises(ValueError, match="1-D of one length") as err:
+            GibbsState(theta=theta, lambda2=lam2, nu=nu, tau2=0.01, xi=1.0)
+        for s in shapes:
+            assert str(s) in str(err.value)
+
+    def test_rejects_a_state_whose_length_is_not_the_data_length(self):
+        # a length-1 state used to broadcast against Y into a length-5 state
+        state = GibbsState(theta=np.zeros(1), lambda2=np.ones(1), nu=np.ones(1),
+                           tau2=0.01, xi=1.0)
+        with pytest.raises(ValueError, match="state has 1 coordinates but Y has 5"):
+            gibbs_step(state, np.ones(5), HyperPrior.half_cauchy(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("prior", [
         HyperPrior.truncated_half_cauchy(),
@@ -381,6 +403,103 @@ class TestHbBall:
         ball = hb_ball(chain, alpha=0.05)
         tau_bar = float(chain.taus.mean())
         assert ball.radius >= 0.1 * math.sqrt(n * zeta(tau_bar) * tau_bar)
+
+
+def _draws(N, m=7, seed=0, layout="plain"):
+    """A (N, m) draw matrix: Gaussian, rounded to force ties, or a strided view."""
+    rng = np.random.default_rng([N, seed])
+    if layout == "strided":
+        return (rng.standard_normal((2 * N, 3 * m)) * 2.0)[::2, ::3]
+    x = rng.standard_normal((N, m)) * np.linspace(0.5, 3.0, m)
+    return np.round(x, 1) if layout == "ties" else x
+
+
+def _as_chain(thetas):
+    return Chain(thetas=thetas, taus=np.full(thetas.shape[0], 0.1), burn_in=0, thin=1, seed=0)
+
+
+class TestSummariesMatchNumpy:
+    # (N, alpha) pairs whose lower virtual index (N-1) alpha/2 is an integer
+    # (101 draws at alpha 0.5 and 0.1), or has a fractional part below 1/2
+    # or of 1/2 or more (0.475, 0.5, 0.75, 0.95)
+    CASES = [(N, a) for N in (100, 101, 2500) for a in (0.5, 0.05, 0.1)]
+
+    def test_cases_cover_every_interpolation_branch(self):
+        fracs = {round(((N - 1) * (a / 2.0)) % 1.0, 6) for N, a in self.CASES}
+        assert 0.0 in fracs
+        assert any(0.0 < f < 0.5 for f in fracs)
+        assert any(f >= 0.5 for f in fracs)
+
+    @pytest.mark.parametrize("layout", ["plain", "ties", "strided"])
+    @pytest.mark.parametrize("N, alpha", CASES)
+    def test_intervals_equal_np_quantile_bit_for_bit(self, N, alpha, layout):
+        thetas = _draws(N, layout=layout)
+        q = [alpha / 2.0, 1.0 - alpha / 2.0]
+        lo, hi = np.quantile(thetas, q, axis=0)
+        npt.assert_array_equal(_column_quantiles(thetas, q), np.stack([lo, hi]))
+        ivs = hb_marginal_intervals(_as_chain(thetas), alpha, L=1.3)
+        npt.assert_array_equal(ivs.center, 0.5 * (lo + hi))
+        npt.assert_array_equal(ivs.half_width, 0.5 * (hi - lo) * 1.3)
+
+    @pytest.mark.parametrize("N", [100, 101])
+    def test_each_interpolation_form_is_read_where_numpy_reads_it(self, N):
+        # The 2.5% level falls between the 3rd and 4th order statistics a
+        # and b: at weight t = 0.475 for 100 draws, where numpy reads
+        # a + (b-a) t, and at t = 0.5 for 101, where it reads
+        # b - (b-a)(1-t). Unrelated a and b make the two forms differ in
+        # the last bit; neighbouring draws of one chain seldom do.
+        rng = np.random.default_rng(N)
+        a, b = np.sort(rng.standard_normal((2, 200)), axis=0)
+        t = (N - 1) * 0.025 - 2.0
+        assert np.any(a + (b - a) * t != b - (b - a) * (1 - t))
+        rows = [a - 2.0, a - 1.0, a, b] + [b + k for k in range(1, N - 3)]
+        thetas = rng.permuted(np.array(rows), axis=0)
+        q = [0.025, 0.975]
+        npt.assert_array_equal(_column_quantiles(thetas, q), np.quantile(thetas, q, axis=0))
+
+    def test_a_level_that_rounds_to_one_reads_the_largest_draw(self):
+        # 1 - alpha/2 == 1.0 in floating point puts the upper level on the
+        # last order statistic, which numpy reads without interpolation
+        thetas = _draws(100)
+        q = [5e-18, 1.0 - 5e-18]
+        assert q[1] == 1.0
+        out = _column_quantiles(thetas, q)
+        npt.assert_array_equal(out, np.quantile(thetas, q, axis=0))
+        npt.assert_array_equal(out[1], thetas.max(axis=0))
+
+    def test_a_column_holding_nan_reads_nan_as_np_quantile_does(self):
+        thetas = _draws(101).copy()
+        thetas[40, 2] = math.nan
+        lo, hi = np.quantile(thetas, [0.025, 0.975], axis=0)
+        assert math.isnan(lo[2]) and math.isnan(hi[2])
+        ivs = hb_marginal_intervals(_as_chain(thetas), 0.05)
+        npt.assert_array_equal(ivs.center, 0.5 * (lo + hi))
+        npt.assert_array_equal(ivs.half_width, 0.5 * (hi - lo))
+        assert np.isnan(ivs.center).sum() == 1
+
+    @pytest.mark.parametrize("layout", ["plain", "ties", "strided"])
+    @pytest.mark.parametrize("N, alpha", CASES)
+    def test_ball_equals_the_linalg_norm_form_bit_for_bit(self, N, alpha, layout):
+        thetas = _draws(N, layout=layout)
+        center = thetas.mean(axis=0)
+        dist = np.linalg.norm(thetas - center[None, :], axis=1)
+        ball = hb_ball(_as_chain(thetas), alpha, L=1.1)
+        assert ball.radius == 1.1 * float(np.quantile(dist, 1.0 - alpha))
+        assert ball.mc_se == 1.1 * mcse_quantile(dist, 1.0 - alpha)
+        npt.assert_array_equal(ball.center, center)
+
+    @pytest.mark.parametrize("summary", [hb_marginal_intervals, hb_ball])
+    def test_summary_peak_memory_is_one_copy_of_the_draws(self, summary):
+        # one sorted (or centred) copy of the draws, and nothing of their
+        # size besides it
+        chain = _as_chain(np.random.default_rng(5).standard_normal((2500, 400)))
+        tracemalloc.start()
+        try:
+            summary(chain, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * chain.thetas.nbytes
 
 
 class TestStationarity:
