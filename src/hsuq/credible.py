@@ -97,16 +97,24 @@ def covers(intervals, theta):
     return np.abs(np.asarray(theta, dtype=float) - intervals.center) <= intervals.half_width
 
 
+def _check_draws(draws):
+    """``draws`` as an int, or ValueError below the 1000 a stable quantile needs."""
+    draws = int(draws)
+    if draws < 1000:
+        raise ValueError(f"need at least 1000 draws for a stable quantile, got {draws}")
+    return draws
+
+
 def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     """(1-alpha) quantile of ||theta - mean|| over joint posterior draws.
 
-    The draws are streamed _BLOCK rows at a time (coordinates are independent
-    given tau): each block is centred in place and its squared norms summed,
-    so memory is O(_BLOCK x draws), with no (draws, n) or (n, nodes) matrix.
-    The sampler blocks of each draw call run on one thread pool, with one
-    worker per block up to the usable CPUs, opened for this ball and joined
-    before it returns; each block draws from its own child generator, so the
-    radius is the same on any number of threads.
+    The draws are streamed in chunks of _BLOCK rows (coordinates are independent
+    given tau). Each chunk is drawn, centred in place and reduced to its squared
+    norms on one thread pool, with one worker per sampler block of a chunk up to
+    the usable CPUs, opened for this ball and joined before it returns; memory is
+    O(_BLOCK x draws) per worker, with no (draws, n) or (n, nodes) matrix. The
+    chunks' generators are spawned and their norms summed here, in chunk order,
+    so the radius is the same on any number of threads in any order of completion.
     Returns (radius, mc_se) where the standard error comes from the
     usual order-statistic asymptotics with a finite-difference density
     estimate at the quantile, over a step that stays inside (0, 1).
@@ -115,19 +123,22 @@ def ball_radius(Y, tau, alpha, draws, rng, *, _center=None):
     from concurrent.futures import ThreadPoolExecutor
 
     _check_level(alpha)
-    draws = int(draws)
-    if draws < 1000:
-        raise ValueError(f"need at least 1000 draws for a stable quantile, got {draws}")
+    draws = _check_draws(draws)
     batch = PosteriorBatch(Y, tau)
     center = batch.means if _center is None else _center
+    starts = range(0, batch.n, _BLOCK)
+    streams = [rng.spawn(-(-min(_BLOCK, batch.n - lo) // _STREAM)) for lo in starts]
+
+    def chunk(lo, children):
+        M = batch.draw_matrix(draws, None, slice(lo, lo + _BLOCK), _streams=children)
+        M -= center[lo:lo + _BLOCK]
+        return np.einsum("ij,ij->i", M, M)
+
     sq = np.zeros(draws)
-    blocks = -(-min(_BLOCK, batch.n) // _STREAM)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(min(blocks, cpus or 1)) as pool:
-        for lo in range(0, batch.n, _BLOCK):
-            M = batch.draw_matrix(draws, rng, slice(lo, lo + _BLOCK), _pool=pool)
-            M -= center[lo:lo + _BLOCK]
-            sq += np.einsum("ij,ij->i", M, M)
+    with ThreadPoolExecutor(min(len(streams[0]), cpus or 1)) as pool:
+        for part in pool.map(chunk, starts, streams):
+            sq += part
     dist = np.sqrt(sq)
     p = 1.0 - float(alpha)
     r = float(np.quantile(dist, p))
@@ -142,12 +153,13 @@ def credible_ball(Y, tau, alpha, L, draws, rng):
     """Credible ball centred at the posterior mean vector, with the Monte
     Carlo radius of :func:`ball_radius` blown up by L."""
     _check_level(alpha, L)
+    draws = _check_draws(draws)
     Y = _as_obs(Y, 1)
     center = posterior_mean(Y, tau)
     r, se = ball_radius(Y, tau, alpha, draws, rng, _center=center)
     return CredibleBall(
         center=center, radius=float(L) * r, alpha=float(alpha),
-        blowup_L=float(L), mc_draws=int(draws), mc_se=float(L) * se,
+        blowup_L=float(L), mc_draws=draws, mc_se=float(L) * se,
     )
 
 

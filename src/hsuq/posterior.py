@@ -24,7 +24,7 @@ node law where it draws (``_node_law``).
 one-row batch, `PosteriorBatch([y], tau)`.
 """
 
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -44,7 +44,7 @@ from .kernels import (
 )
 
 __all__ = ["PosteriorBatch"]
-_BLOCK = 128  # rows per draw call of the streamed ball
+_BLOCK = 128  # rows per chunk of the streamed ball: one draw call on one worker
 _STREAM = 64  # rows per sampler block, each with its own child generator
 _BUILD_BLOCK = 256  # rows per theta-law build block: under 1,000 doubles a row, near L2
 # unit panels [k, k+1] per row, for k from floor(y) - 10: they cover [y - 10, y + 10]
@@ -330,7 +330,7 @@ class PosteriorBatch:
         hi = np.maximum(self.Y, 0.0) + 40.0
         return self._solve(self.Y, np.zeros((self.n, 1)), np.ones(1), p, self.means.copy(), lo, hi)
 
-    def draw_weights(self, draws, rng, rows=slice(None), *, _pool=None, _streams=None):
+    def draw_weights(self, draws, rng, rows=slice(None), *, _streams=None):
         """(draws, len(rows)) shrinkage weights z of the basic slice ``rows``, one row per draw.
 
         Exact draws from the z node law, the sampler's discretisation of the
@@ -340,45 +340,39 @@ class PosteriorBatch:
         builds its rows' W (``_node_law``) and draws from ``rng.spawn(blocks)[b]``:
         its multinomial node counts are expanded into its rows of one (rows,
         draws) buffer and each row is shuffled in place, so memory is the
-        output plus a (_STREAM, nodes) law per running block, O(_BLOCK x
-        draws) in a ball, with no (n, nodes) matrix. The children depend on
-        the seed, the number of earlier spawns and the block index only, not
-        on ``rng``'s state, so the output is the same whether the blocks run
-        in turn here or on the threads of ``_pool`` (``ball_radius``'s own).
-        ``_streams`` are the block generators, if already spawned.
+        output plus one (_STREAM, nodes) law, with no (n, nodes) matrix. The
+        blocks run in turn on the calling thread. The children depend on the
+        seed, the number of earlier spawns and the block index only, not on
+        ``rng``'s state, so a caller may spawn them ahead and draw on another
+        thread: ``_streams`` are the block generators, if already spawned.
         """
         y = self.Y[rows]  # a view: rows is a basic slice
         out = np.empty((len(y), int(draws)))
         blocks = _blocks(y)
         if _streams is None:
             _streams = rng.spawn(len(blocks))
-        _run(_pool, partial(_draw_block, self._u, self._w), blocks, _streams, _blocks(out))
+        for args in zip(blocks, _streams, _blocks(out)):
+            _draw_block(self._u, self._w, *args)
         return out.T
 
-    def draw_matrix(self, draws, rng, rows=slice(None), *, _pool=None):
+    def draw_matrix(self, draws, rng, rows=slice(None), *, _streams=None):
         """(draws, len(rows)) posterior draws of the means of the basic slice ``rows``.
 
         Each sampler block takes its weights and then its normal noise from
-        its own child generator (see ``draw_weights``), so the draws are the
-        same on any number of threads.
+        its own child generator (see ``draw_weights``, also for ``_streams``).
         """
         y = _blocks(self.Y[rows])
-        streams = rng.spawn(len(y))
-        z = self.draw_weights(draws, rng, rows, _pool=_pool, _streams=streams)
-        _run(_pool, _noise_block, y, streams, _blocks(z.T))
+        if _streams is None:
+            _streams = rng.spawn(len(y))
+        z = self.draw_weights(draws, rng, rows, _streams=_streams)
+        for args in zip(y, _streams, _blocks(z.T)):
+            _noise_block(*args)
         return z
 
 
 def _blocks(a):
     """The leading-axis blocks of _STREAM rows of ``a``, as views."""
     return [a[lo:lo + _STREAM] for lo in range(0, len(a), _STREAM)]
-
-
-def _run(pool, fn, *columns):
-    """fn over the zipped ``columns``, on ``pool``'s threads if given, else in turn
-    here. Returns once every call has; the first error is raised here."""
-    for _ in (map if pool is None else pool.map)(fn, *columns):
-        pass
 
 
 def _node_law(y, u, w):

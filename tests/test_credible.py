@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -27,6 +28,20 @@ from hsuq.credible import (
 from hsuq.kernels import GlobalScale, zeta
 from hsuq.experiments import verify_theory
 from hsuq.posterior import _BLOCK, PosteriorBatch
+
+
+def _serial_ball(Y, tau, alpha, draws, rng):
+    """ball_radius's (radius, mc_se) from its chunks drawn in turn on this thread."""
+    batch = PosteriorBatch(Y, tau)
+    sq = np.zeros(draws)
+    for lo in range(0, batch.n, _BLOCK):
+        M = batch.draw_matrix(draws, rng, slice(lo, lo + _BLOCK))
+        M -= batch.means[lo:lo + _BLOCK]
+        sq += np.einsum("ij,ij->i", M, M)
+    dist, p = np.sqrt(sq), 1.0 - alpha
+    h = min(alpha / 2.0, p / 2.0, 0.02)
+    dens = float(np.quantile(dist, p + h) - np.quantile(dist, p - h)) / (2.0 * h)
+    return float(np.quantile(dist, p)), math.sqrt(p * (1.0 - p) / draws) * dens
 
 
 class TestCredibleInterval:
@@ -201,6 +216,44 @@ class TestBallRadius:
         # one worker per sampler block of a draw call, up to the CPUs
         assert sizes == [1, 2, 2]
 
+    @pytest.mark.parametrize("n", [1, 64, 129, 5000])
+    def test_ball_equals_the_serial_chunk_loop(self, n):
+        # partial sampler blocks (1, 129) and partial chunks (1, 64, 129, 5000)
+        Y = np.random.default_rng([43, n]).standard_normal(n)
+        want = _serial_ball(Y, 0.01, 0.05, 2000, np.random.default_rng(n))
+        assert ball_radius(Y, 0.01, 0.05, 2000, np.random.default_rng(n)) == want
+        ball = credible_ball(Y, 0.01, 0.05, 1.0, 2000, np.random.default_rng(n))
+        assert (ball.radius, ball.mc_se) == want
+
+    def test_radius_is_bit_identical_on_forced_pool_sizes(self, monkeypatch):
+        # each chunk draws from its own child streams into its own buffer,
+        # so threads cannot change it; 5 workers on 6 chunks and a short
+        # switch interval would show a chunk drawn twice or summed out of turn
+        Y = np.random.default_rng(13).standard_normal(700)
+        want = _serial_ball(Y, 0.05, 0.05, 1000, np.random.default_rng(3))
+        real = concurrent.futures.ThreadPoolExecutor
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                                    lambda _, k=workers: real(k))
+                assert ball_radius(Y, 0.05, 0.05, 1000, np.random.default_rng(3)) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_partial_norms_are_summed_in_chunk_order(self, monkeypatch):
+        # a pool that runs the chunks last to first, returning them in order
+        class Reversed(concurrent.futures.ThreadPoolExecutor):
+            def map(self, fn, *columns):
+                return reversed([fn(*args) for args in reversed(list(zip(*columns)))])
+
+        # summed in reverse, 605 of the 1000 squared norms move by an ulp
+        Y = np.random.default_rng(44).standard_normal(2000)
+        want = ball_radius(Y, 0.05, 0.05, 1000, np.random.default_rng(7))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Reversed)
+        assert ball_radius(Y, 0.05, 0.05, 1000, np.random.default_rng(7)) == want
+
     def test_streamed_radius_follows_the_draw_matrix_law(self):
         # the streamed radius against the full (draws, n) matrix of the
         # public joint sampler, on an independent stream of the same law
@@ -294,6 +347,15 @@ class TestCredibleBallOp:
         ball = credible_ball(Y, 0.1, 0.05, 1.0, 1200, np.random.default_rng(4))
         assert len(calls) == 1
         assert (ball.radius, ball.mc_se) == want
+
+    def test_too_few_draws_are_rejected_before_the_mean(self, monkeypatch):
+        import hsuq.credible
+
+        calls = []
+        monkeypatch.setattr(hsuq.credible, "posterior_mean", lambda *args: calls.append(1))
+        with pytest.raises(ValueError, match="1000"):
+            credible_ball(np.zeros(5), 0.1, 0.05, 1.0, 999, np.random.default_rng(0))
+        assert calls == []
 
     def test_blowup_scales_radius_exactly(self):
         Y = np.linspace(-1.0, 2.0, 30)

@@ -1,9 +1,7 @@
 """Tests for the per-coordinate posterior law and its batch machinery."""
 
 import math
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -404,26 +402,6 @@ class TestPosteriorBatch:
         full = batch.draw_weights(500, np.random.default_rng(4))
         assert full.shape == (500, 300)
         assert np.array_equal(part, full[:, :_BLOCK])
-
-    def test_draws_are_bit_identical_on_any_pool(self):
-        # blocks draw from their own child streams into their own rows, so
-        # threads cannot change them; 5 workers and a short switch interval
-        # would show a block written twice or not at all
-        batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
-        rows = slice(40, 300)
-        M = batch.draw_matrix(1000, np.random.default_rng(3))
-        z = batch.draw_weights(1000, np.random.default_rng(3), rows)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (1, 2, 5):
-                with ThreadPoolExecutor(workers) as pool:
-                    assert np.array_equal(
-                        batch.draw_matrix(1000, np.random.default_rng(3), _pool=pool), M)
-                    assert np.array_equal(
-                        batch.draw_weights(1000, np.random.default_rng(3), rows, _pool=pool), z)
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_blocks_with_identical_rows_draw_different_weights(self):
         y = np.random.default_rng(14).standard_normal(_STREAM)
