@@ -193,6 +193,18 @@ def grid_mmle(y, n_grid=10_000):
     return float(grid[int(np.argmax(vals))]), grid
 
 
+def crit09_data(i):
+    """Data set i (0..19) of acceptance criterion 09: n in [50, 300), p signals
+    of one amplitude in [1, 8) plus standard normal noise."""
+    rng = np.random.default_rng([41, i])
+    n = int(rng.integers(50, 300))
+    p = int(rng.integers(1, max(2, n // 8)))
+    amp = float(rng.uniform(1.0, 8.0))
+    theta = np.zeros(n)
+    theta[:p] = amp
+    return theta + rng.standard_normal(n)
+
+
 def marginal_cdf_quad(t, y, tau):
     """P(theta <= t | y) by quadrature over the shrinkage weight.
 
@@ -224,10 +236,9 @@ def marginal_cdf_quad(t, y, tau):
 def loop_mmle(y):
     """MMLE of tau by one pair of exact kernel calls per grid point.
 
-    The per-tau grid loop that the one-pass sweep in ``hsuq.tau.mmle``
-    replaced: score sums and log likelihoods on the same 200-point grid,
-    every sign change refined by ``brentq`` and compared with both
-    endpoints. Returns (tau_hat, grid, scores, objective).
+    Score sums and log likelihoods on a 200-point log grid, every sign
+    change refined by ``brentq`` to float resolution and compared with
+    both endpoints. Returns (tau_hat, grid, scores, objective).
     """
     from scipy.optimize import brentq
 
@@ -244,7 +255,8 @@ def loop_mmle(y):
             candidates.append(float(grid[i]))
         if scores[i] * scores[i + 1] < 0.0:
             candidates.append(float(brentq(
-                lambda t: float(np.sum(score_m(y, t))), grid[i], grid[i + 1], xtol=1e-10
+                lambda t: float(np.sum(score_m(y, t))), grid[i], grid[i + 1],
+                xtol=1e-16, rtol=1e-15,
             )))
     values = [log_marginal_lik(y, t) for t in candidates]
     tau_hat = min(max(candidates[int(np.argmax(values))], lo), 1.0)

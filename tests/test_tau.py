@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsuq.credible import excessive_bias_diagnostic
-from hsuq.kernels import SparsityRate, _tau_sweep, log_marginal_lik
+from hsuq.kernels import SparsityRate, _tau_sweep, log_marginal_lik, score_m
 from hsuq.tau import TauMethod, fixed_tau, mmle, score_sum, simple_estimator
 
-from _oracles import grid_mmle, loop_mmle
+from _oracles import crit09_data, grid_mmle, loop_mmle
 
 
 def _sparse(seed, n, k, size):
@@ -100,8 +100,9 @@ class TestMmle:
         est = mmle(np.random.default_rng(2).normal(0, 3, 80))
         d = est.diagnostics
         assert {"grid", "objective", "sign_changes", "candidates", "bracket",
-                "at_boundary", "local_maxima"} <= set(d)
-        assert len(d["grid"]) == len(d["objective"]) == 200
+                "at_boundary", "local_maxima", "nodes", "score_at_estimate"} <= set(d)
+        assert len(d["grid"]) == len(d["objective"]) == d["nodes"]
+        assert np.all(np.diff(d["grid"]) > 0.0)
         assert all(lo < hi for lo, hi in d["sign_changes"])
         assert 1.0 / 80 in d["candidates"] and 1.0 in d["candidates"]
 
@@ -111,7 +112,8 @@ class TestMmle:
 
 
 class TestGridSweep:
-    """The one-pass grid sweep against exact kernel calls at every tau."""
+    """The one-pass sweep against exact kernel calls at every tau, and the
+    Chebyshev fit of its scores against a root refined to float resolution."""
 
     @pytest.mark.parametrize("name", list(SWEEP_INPUTS))
     def test_matches_per_tau_loop(self, name):
@@ -122,7 +124,36 @@ class TestGridSweep:
         assert np.all(np.abs(objective - ref_objective) <= 1e-8)
         est = mmle(y)
         assert abs(est.tau - tau_ref) <= 1e-12 * tau_ref
-        assert np.array_equal(est.diagnostics["objective"], objective)
+        assert np.array_equal(est.diagnostics["objective"], _tau_sweep(y, est.diagnostics["grid"])[1])
+
+    @pytest.mark.parametrize("name", list(SWEEP_INPUTS))
+    def test_degree(self, name):
+        # 32 nodes resolve the score for n up to a few thousand; n = 10,000 needs 64
+        y = SWEEP_INPUTS[name]()
+        assert mmle(y).diagnostics["nodes"] == (64 if y.size == 10_000 else 32)
+
+    @pytest.mark.parametrize("name", list(SWEEP_INPUTS) + [f"crit09_{i}" for i in range(20)])
+    def test_roots_match_a_fine_exact_sweep(self, name):
+        y = SWEEP_INPUTS[name]() if name in SWEEP_INPUTS else crit09_data(int(name[7:]))
+        d = mmle(y).diagnostics
+        grid = np.geomspace(1.0 / y.size, 1.0, 2000)
+        scores, _ = _tau_sweep(y, grid)
+        change = np.flatnonzero(np.sign(scores[:-1]) != np.sign(scores[1:]))
+        roots = np.array(d["candidates"][2:])
+        assert roots.size == change.size
+        assert np.all((grid[change] <= roots) & (roots <= grid[change + 1]))
+        assert all(lo < r < hi for (lo, hi), r in zip(d["sign_changes"], roots))
+        assert d["local_maxima"] == int(np.sum(scores[change] > 0.0))
+
+    @pytest.mark.parametrize("name", list(SWEEP_INPUTS))
+    def test_interior_estimate_zeroes_the_score(self, name):
+        y = SWEEP_INPUTS[name]()
+        est = mmle(y)
+        d = est.diagnostics
+        assert d["score_at_estimate"] == float(np.sum(score_m(y, est.tau)))
+        if not d["at_boundary"]:
+            # float noise: measured below 1e-16 of the summands' total magnitude
+            assert abs(d["score_at_estimate"]) <= 1e-13 * np.sum(np.abs(score_m(y, est.tau)))
 
     def test_memory_does_not_grow_with_n(self):
         def peak(n):
