@@ -17,12 +17,17 @@ Conditional laws used by the sweep, writing w_i = lambda_i^2 tau^2 /
     xi        ~ InvGamma(1, 1 + 1/tau^2)
 
 Every shape-1 inverse gamma (lambda^2, nu, xi) is drawn as b / Exp(1)
-from rng.standard_exponential: numpy's gamma(1, 1/b) draws the same
-stream, bit for bit, but broadcasts an array scale element by element.
-Truncated hyperpriors restrict the tau^2 draw to [1/n^2, 1] by inverse
-CDF. The flat hyperprior on [1/n, 1] is not a half-Cauchy, so its exact
-conditional is InvGamma((n-1)/2, S) truncated to the same range, with
-no xi auxiliary involved.
+from rng.standard_exponential. The tau^2 draw is restricted to the
+square of the prior's support ([1/n^2, 1] when truncated, (0, inf) for
+the half-Cauchy): the untruncated draw is kept when it lands there,
+else the truncated law is inverted, so one exact step serves every
+hyperprior. The flat hyperprior on [1/n, 1] is not a half-Cauchy, so
+its exact conditional is InvGamma((n-1)/2, S) truncated to the same
+range, with no xi auxiliary involved.
+
+A sweep does not check the draws it returns, which saves an O(n) pass
+per sweep; run_chain checks the kept draws once per chain. A bad
+lambda^2 turns the next sweep's theta into NaN, so none passes silently.
 """
 
 import csv
@@ -140,6 +145,13 @@ class GibbsState:
         if not (0.0 < self.tau2 < math.inf and 0.0 < self.xi < math.inf):
             raise ValueError("tau2 and xi must be positive and finite")
 
+    @classmethod
+    def _unchecked(cls, theta, lambda2, nu, tau2, xi):
+        """A state the sweep built itself, without the checks above."""
+        state = object.__new__(cls)
+        state.__dict__.update(theta=theta, lambda2=lambda2, nu=nu, tau2=tau2, xi=xi)
+        return state
+
 
 @dataclass(frozen=True)
 class Chain:
@@ -190,44 +202,31 @@ class Chain:
                 writer.writerow(row)
 
 
-def _invgamma(rng, shape, scale):
-    return 1.0 / rng.gamma(shape, 1.0 / scale)
-
-
-def _invexp(rng, scale):
-    """InvGamma(1, scale), bit-identical to _invgamma(rng, 1.0, scale).
-
-    numpy's shape-1 gamma is the ziggurat exponential times the scale,
-    so this draws the same stream without gamma's per-element
-    broadcasting of an array scale.
-    """
-    return 1.0 / (rng.standard_exponential() * (1.0 / scale))
-
-
-def _invexp_into(rng, scale, buf):
-    """_invexp over an array scale, written over it; buf is scratch."""
-    np.divide(1.0, scale, out=scale)
-    scale *= rng.standard_exponential(out=buf)
-    np.divide(1.0, scale, out=scale)
-
-
 def _trunc_invgamma(rng, shape, scale, lo, hi):
-    """Inverse-CDF draw from InvGamma(shape, scale) restricted to [lo, hi].
+    """Draw from InvGamma(shape, scale) restricted to [lo, hi].
 
-    The CDF at x is the regularized upper gamma function Q(shape, scale/x).
-    When the bulk lies below lo, Q rounds to 1 at both ends although the
-    mass between them is representable, so the span and the inversion
-    use the lower function P = 1 - Q, which falls as x grows. Only when
-    that span underflows too is the draw clamped to the boundary nearest
-    the bulk, with a warning.
+    The first try is the untruncated draw scale / Gamma(shape), kept when
+    it is positive, finite and inside the range. Otherwise the draw comes
+    from the inverse CDF of the truncated law, so both branches return
+    that law exactly. The CDF at x is the regularized upper gamma function
+    Q(shape, scale/x). When the bulk lies below lo, Q rounds to 1 at both
+    ends although the mass between them is representable, so the span and
+    the inversion use the lower function P = 1 - Q, which falls as x
+    grows. Only when that span underflows too is the draw clamped to the
+    boundary nearest the bulk, with a warning.
     """
-    F_lo = float(gammaincc(shape, scale / lo))
+    g = rng.standard_gamma(shape)
+    x = scale / g if g > 0.0 else math.inf
+    if lo <= x <= hi and 0.0 < x < math.inf:
+        return x
+    z_lo = scale / lo if lo > 0.0 else math.inf
+    F_lo = float(gammaincc(shape, z_lo))
     F_hi = float(gammaincc(shape, scale / hi))
     span = F_hi - F_lo
     if span > 0.0:
         t = float(gammainccinv(shape, F_lo + rng.random() * span))
     else:
-        P_lo = float(gammainc(shape, scale / lo))
+        P_lo = float(gammainc(shape, z_lo))
         P_hi = float(gammainc(shape, scale / hi))
         span = P_lo - P_hi
         if not span > 0.0:
@@ -248,7 +247,8 @@ def gibbs_step(state, Y, prior, rng):
 
     The arithmetic runs in place on arrays the sweep allocates, with the
     operands of the conditional laws above in their order, so the draws
-    equal those of the plain array expressions bit for bit.
+    equal those of the plain array expressions bit for bit. The returned
+    state is not value-checked: run_chain checks its kept draws once.
     """
     Y = np.asarray(Y, dtype=float)
     n = Y.size
@@ -265,24 +265,22 @@ def gibbs_step(state, Y, prior, rng):
     t2 = np.multiply(theta, theta, out=w)       # theta^2, read twice
     lam2 = 1.0 / state.nu
     lam2 += np.divide(t2, 2.0 * tau2, out=b)
-    _invexp_into(rng, lam2, b)
+    lam2 /= rng.standard_exponential(out=b)
     nu = 1.0 / lam2
     nu += 1.0
-    _invexp_into(rng, nu, b)
+    nu /= rng.standard_exponential(out=b)
     xi = state.xi
     if prior.kind is not HyperPriorKind.POINT_MASS:
         np.multiply(lam2, 2.0, out=b)
         S = float(np.add.reduce(np.divide(t2, b, out=b)))
-        if prior.kind is HyperPriorKind.HALF_CAUCHY:
-            tau2 = _invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S)
-            xi = _invexp(rng, 1.0 + 1.0 / tau2)
-        elif prior.kind is HyperPriorKind.TRUNCATED_HALF_CAUCHY:
-            tau2 = _trunc_invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S, 1.0 / n**2, 1.0)
-            xi = _invexp(rng, 1.0 + 1.0 / tau2)
-        else:
+        lo, hi = prior.support(n)
+        if prior.kind is HyperPriorKind.TRUNCATED_UNIFORM:
             # flat hyperprior: exact conditional, no auxiliary
-            tau2 = _trunc_invgamma(rng, 0.5 * (n - 1), S, 1.0 / n**2, 1.0)
-    return GibbsState(theta=theta, lambda2=lam2, nu=nu, tau2=tau2, xi=xi)
+            tau2 = _trunc_invgamma(rng, 0.5 * (n - 1), S, lo * lo, hi * hi)
+        else:
+            tau2 = _trunc_invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S, lo * lo, hi * hi)
+            xi = (1.0 + 1.0 / tau2) / rng.standard_exponential()
+    return GibbsState._unchecked(theta, lam2, nu, tau2, xi)
 
 
 def run_chain(Y, prior, iters=12000, burn_in=2000, thin=1, seed=0):
@@ -290,7 +288,9 @@ def run_chain(Y, prior, iters=12000, burn_in=2000, thin=1, seed=0):
 
     Initialization: theta starts at the data, all local scales and
     auxiliaries at one, and tau at the threshold-count estimator clamped
-    into the prior support.
+    into the prior support. The kept draws are checked once at the end:
+    a theta that is not finite or a tau that is not positive and finite
+    raises ValueError.
     """
     Y = _as_obs(Y, 2)
     n = Y.size
@@ -301,18 +301,9 @@ def run_chain(Y, prior, iters=12000, burn_in=2000, thin=1, seed=0):
     if thin < 1:
         raise ValueError(f"thin must be at least 1, got {thin}")
     rng = np.random.default_rng(seed)
-    if prior.kind is HyperPriorKind.POINT_MASS:
-        t0 = prior.tau0
-    else:
-        lo, hi = prior.support(n)
-        t0 = min(max(simple_estimator(Y).tau, lo), hi)
-    state = GibbsState(
-        theta=Y.copy(),
-        lambda2=np.ones(n),
-        nu=np.ones(n),
-        tau2=t0 * t0,
-        xi=1.0,
-    )
+    lo, hi = prior.support(n)
+    t0 = min(max(simple_estimator(Y).tau, lo), hi)
+    state = GibbsState(theta=Y.copy(), lambda2=np.ones(n), nu=np.ones(n), tau2=t0 * t0, xi=1.0)
     kept = len(range(burn_in, iters, thin))
     thetas = np.empty((kept, n))
     taus = np.empty(kept)
@@ -323,6 +314,11 @@ def run_chain(Y, prior, iters=12000, burn_in=2000, thin=1, seed=0):
             thetas[j] = state.theta
             taus[j] = math.sqrt(state.tau2)
             j += 1
+    # min and max propagate NaN, so one pair of reductions checks every draw
+    if not (math.isfinite(thetas.min()) and math.isfinite(thetas.max())
+            and taus.min() > 0.0 and taus.max() < math.inf):
+        raise ValueError("the chain drew a non-finite theta or a tau that is not positive "
+                         "and finite")
     return Chain(thetas=thetas, taus=taus, burn_in=burn_in, thin=thin, seed=seed)
 
 

@@ -10,7 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, ndtri
 
 
 def midpoint_Ik(y, tau, k, n=1_000_000):
@@ -400,38 +400,54 @@ def newton_quantile(batch, p):
     return _newton_solve(batch, gap, slope, c.copy(), lo, hi)
 
 
-def _gamma_invgamma(rng, shape, scale):
-    return 1.0 / rng.gamma(shape, 1.0 / scale)
+def trunc_invgamma_oracle(rng, shape, scale, lo, hi):
+    """InvGamma(shape, scale) restricted to [lo, hi], stated plainly.
+
+    The untruncated draw scale / Gamma(shape) is kept when it lands in
+    the range; otherwise the truncated law is inverted through whichever
+    regularized gamma function, Q (upper) or P (lower), leaves a positive
+    span between the bounds. The underflow clamp is left out.
+    """
+    x = scale / rng.standard_gamma(shape)
+    if lo <= x <= hi and 0.0 < x < math.inf:
+        return x
+    with np.errstate(divide="ignore"):
+        z = np.divide(scale, [lo, hi])          # CDF arguments; lo = 0 gives inf
+    Q = gammaincc(shape, z)
+    if Q[1] > Q[0]:
+        t = gammainccinv(shape, Q[0] + rng.random() * (Q[1] - Q[0]))
+    else:
+        P = gammainc(shape, z)
+        t = gammaincinv(shape, P[1] + rng.random() * (P[0] - P[1]))
+    return min(max(scale / t, lo), hi)
 
 
 def gamma_gibbs_step(state, Y, prior, rng):
-    """One Gibbs sweep with every inverse gamma drawn by ``rng.gamma``.
+    """One Gibbs sweep written as plain array expressions of its laws.
 
-    The sweep as it stood before ``hierarchical.gibbs_step`` drew its
-    shape-1 inverse gammas as reciprocal exponentials, copied line for
-    line; run_chain driven by it must give the same chain bit for bit.
+    Every shape-1 inverse gamma is scale / Exp(1), and tau^2 is drawn by
+    ``trunc_invgamma_oracle`` on the square of the prior's support (the
+    half-Cauchy's is (0, inf)). run_chain driven by it must give the same
+    chain as ``hierarchical.gibbs_step`` bit for bit.
     """
-    from hsuq.hierarchical import GibbsState, HyperPriorKind, _trunc_invgamma
+    from hsuq.hierarchical import GibbsState, HyperPriorKind
 
-    _invgamma = _gamma_invgamma
     Y = np.asarray(Y, dtype=float)
     n = Y.size
     tau2 = state.tau2
     s2 = state.lambda2 * tau2
     w = s2 / (1.0 + s2)
     theta = w * Y + np.sqrt(w) * rng.standard_normal(n)
-    lam2 = _invgamma(rng, 1.0, 1.0 / state.nu + theta * theta / (2.0 * tau2))
-    nu = _invgamma(rng, 1.0, 1.0 + 1.0 / lam2)
+    lam2 = (1.0 / state.nu + theta * theta / (2.0 * tau2)) / rng.standard_exponential(n)
+    nu = (1.0 + 1.0 / lam2) / rng.standard_exponential(n)
     xi = state.xi
     if prior.kind is not HyperPriorKind.POINT_MASS:
         S = float(np.sum(theta * theta / (2.0 * lam2)))
-        if prior.kind is HyperPriorKind.HALF_CAUCHY:
-            tau2 = _invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S)
-            xi = _invgamma(rng, 1.0, 1.0 + 1.0 / tau2)
-        elif prior.kind is HyperPriorKind.TRUNCATED_HALF_CAUCHY:
-            tau2 = _trunc_invgamma(rng, 0.5 * (n + 1), 1.0 / xi + S, 1.0 / n**2, 1.0)
-            xi = _invgamma(rng, 1.0, 1.0 + 1.0 / tau2)
-        else:
+        lo, hi = prior.support(n)
+        if prior.kind is HyperPriorKind.TRUNCATED_UNIFORM:
             # flat hyperprior: exact conditional, no auxiliary
-            tau2 = _trunc_invgamma(rng, 0.5 * (n - 1), S, 1.0 / n**2, 1.0)
+            tau2 = trunc_invgamma_oracle(rng, 0.5 * (n - 1), S, lo * lo, hi * hi)
+        else:
+            tau2 = trunc_invgamma_oracle(rng, 0.5 * (n + 1), 1.0 / xi + S, lo * lo, hi * hi)
+            xi = (1.0 + 1.0 / tau2) / rng.standard_exponential()
     return GibbsState(theta=theta, lambda2=lam2, nu=nu, tau2=tau2, xi=xi)

@@ -1,5 +1,6 @@
 """Tests for the Gibbs sampler and the hyperprior plumbing."""
 
+import collections
 import logging
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import gamma_gibbs_step
+from _oracles import gamma_gibbs_step, trunc_invgamma_oracle
 from hsuq import hierarchical
 from hsuq.credible import ball_radius
 from hsuq.hierarchical import (
@@ -26,7 +27,7 @@ from hsuq.hierarchical import (
     run_chain,
     verify_hyperprior,
 )
-from hsuq.kernels import GlobalScale, SparsityRate, posterior_mean, zeta
+from hsuq.kernels import GlobalScale, SparsityRate, _tau_sweep, posterior_mean, zeta
 from hsuq.posterior import PosteriorBatch
 from scipy.integrate import quad
 
@@ -34,6 +35,44 @@ from scipy.integrate import quad
 def _mixed_data(n=12, seed=100):
     rng = np.random.default_rng(seed)
     return np.concatenate([np.full(3, 4.0), rng.standard_normal(n - 3)])
+
+
+class _CountingRng:
+    """Forwards to a Generator and counts the calls of each method."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+class _StubGammaRng(_CountingRng):
+    """Every standard_gamma draw returns one fixed value."""
+
+    def __init__(self, rng, value):
+        super().__init__(rng)
+        self.value = value
+
+    def standard_gamma(self, shape):
+        return self.value
+
+
+class _ZeroExponentialRng(_CountingRng):
+    """The k-th array of standard exponentials has a 0 as its first entry."""
+
+    def __init__(self, rng, k):
+        super().__init__(rng)
+        self.k = k
+
+    def standard_exponential(self, *args, **kwargs):
+        out = self.rng.standard_exponential(*args, **kwargs)
+        if np.ndim(out):
+            self.k -= 1
+            if self.k == 0:
+                out[0] = 0.0
+        return out
 
 
 class TestHyperPrior:
@@ -208,11 +247,15 @@ class TestGibbsStep:
 
         from hsuq.hierarchical import _trunc_invgamma
 
+        # about 68% of the untruncated law lies in [lo, hi], so both the
+        # untruncated first try and the inverse-CDF fallback run
         shape, scale, lo, hi = 3.0, 2.0, 0.5, 2.0
-        rng = np.random.default_rng(41)
+        rng = _CountingRng(np.random.default_rng(41))
         N = 20_000
         draws = np.array([_trunc_invgamma(rng, shape, scale, lo, hi) for _ in range(N)])
         assert draws.min() >= lo and draws.max() <= hi
+        assert rng.calls["standard_gamma"] == N
+        assert 0.2 * N < rng.calls["random"] < 0.45 * N
 
         def cdf(x):
             F = lambda t: gammaincc(shape, scale / t)
@@ -222,6 +265,51 @@ class TestGibbsStep:
             emp = np.mean(draws <= probe)
             p = cdf(probe)
             assert abs(emp - p) <= 4.0 * math.sqrt(p * (1.0 - p) / N)
+
+    def test_untruncated_range_draws_the_inverse_gamma(self):
+        from scipy.special import gammaincc
+
+        from hsuq.hierarchical import _trunc_invgamma
+
+        shape, scale = 4.5, 3.0
+        rng = _CountingRng(np.random.default_rng(44))
+        N = 20_000
+        draws = np.array([_trunc_invgamma(rng, shape, scale, 0.0, math.inf)
+                          for _ in range(N)])
+        assert np.all(np.isfinite(draws)) and draws.min() > 0.0
+        assert rng.calls["random"] == 0
+        for probe in (0.5, 0.8, 1.2):
+            emp = np.mean(draws <= probe)
+            p = gammaincc(shape, scale / probe)
+            assert 0.1 < p < 0.9
+            assert abs(emp - p) <= 4.0 * math.sqrt(p * (1.0 - p) / N)
+
+    TRUNCATIONS = [
+        (3.0, 2.0, 0.5, 2.0),
+        (199.5, 0.0006334328365138885, 1.0 / 400**2, 1.0),
+        (4.5, 3.0, 0.0, math.inf),
+    ]
+
+    @pytest.mark.parametrize("shape, scale, lo, hi", TRUNCATIONS)
+    @pytest.mark.parametrize("g", [0.0, math.inf])
+    def test_a_zero_or_infinite_gamma_falls_back_inside_the_support(self, shape, scale,
+                                                                    lo, hi, g):
+        from hsuq.hierarchical import _trunc_invgamma
+
+        rng = _StubGammaRng(np.random.default_rng(45), g)
+        draws = np.array([_trunc_invgamma(rng, shape, scale, lo, hi) for _ in range(500)])
+        assert rng.calls["random"] == 500
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws >= lo) & (draws <= hi) & (draws > 0.0))
+
+    @pytest.mark.parametrize("shape, scale, lo, hi", TRUNCATIONS)
+    def test_truncated_draws_match_the_plain_oracle_bit_for_bit(self, shape, scale, lo, hi):
+        from hsuq.hierarchical import _trunc_invgamma
+
+        a, b = np.random.default_rng(46), np.random.default_rng(46)
+        fast = [_trunc_invgamma(a, shape, scale, lo, hi) for _ in range(2000)]
+        slow = [trunc_invgamma_oracle(b, shape, scale, lo, hi) for _ in range(2000)]
+        assert fast == slow
 
 
 class TestRunChain:
@@ -280,6 +368,17 @@ class TestSweepGuards:
         assert not any("clamping" in rec.message for rec in caplog.records)
         npt.assert_array_equal(fast.thetas, slow.thetas)
         npt.assert_array_equal(fast.taus, slow.taus)
+
+    @pytest.mark.parametrize("prior", ALL_PRIORS)
+    def test_a_zero_exponential_fails_the_chain(self, prior, monkeypatch):
+        # the zero makes one lambda^2 infinite, so the next sweep's theta
+        # is NaN; the sweep does not check its draws, run_chain does
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ZeroExponentialRng(make(seed), k=5))
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite theta"):
+            run_chain(_mixed_data(), prior, iters=200, burn_in=100, seed=1)
 
     def test_quantile_intervals_equal_two_quantile_calls(self):
         chain = run_chain(_mixed_data(n=60), HyperPrior.truncated_half_cauchy(),
@@ -514,6 +613,36 @@ class TestStationarity:
         first, second = chain.taus[:half], chain.taus[half:]
         se = math.hypot(mcse_mean(first), mcse_mean(second))
         assert abs(first.mean() - second.mean()) <= 4.0 * se
+
+
+class TestTauLaw:
+    @pytest.mark.parametrize("prior", [
+        HyperPrior.truncated_half_cauchy(),
+        HyperPrior.truncated_uniform(),
+    ])
+    @pytest.mark.parametrize("signals", [10, 0])
+    def test_independent_chain_tau_means_match_the_exact_posterior_mean(self, prior,
+                                                                       signals):
+        # E[tau | Y] from the exact marginal likelihood on a fine grid in
+        # log tau over the support, weighted by the hyperprior density
+        # (times tau, the Jacobian of log tau). The untruncated half-Cauchy
+        # is left out: GlobalScale refuses the grid's tau > 1. On null data
+        # the posterior reaches 1/n, so the truncation binds.
+        n = 200
+        theta = np.zeros(n)
+        theta[:signals] = 1.5 * zeta(1.0 / n)
+        Y = theta + np.random.default_rng(9).standard_normal(n)
+        lo, hi = prior.support(n)
+        s = np.linspace(math.log(lo), math.log(hi), 4001)
+        taus = np.exp(s)
+        _, loglik = _tau_sweep(Y, taus)
+        logpost = loglik + s + np.log([prior.density(t, n) for t in taus])
+        post = np.exp(logpost - logpost.max())
+        exact = np.trapezoid(taus * post, s) / np.trapezoid(post, s)
+        means = np.array([run_chain(Y, prior, iters=4500, burn_in=1500, seed=k).taus.mean()
+                          for k in range(12)])
+        se = means.std(ddof=1) / math.sqrt(means.size)
+        assert abs(means.mean() - exact) <= 4.0 * se
 
 
 class TestChainExport:
