@@ -26,8 +26,9 @@ its exact conditional is InvGamma((n-1)/2, S) truncated to the same
 range, with no xi auxiliary involved.
 
 A sweep does not check the draws it returns, which saves an O(n) pass
-per sweep; run_chain checks the kept draws once per chain. A bad
-lambda^2 turns the next sweep's theta into NaN, so none passes silently.
+per sweep; run_chain checks the kept theta and tau once per chain. An
+infinite lambda^2 (a zero exponential) makes the next theta NaN and
+fails that check; an infinite nu enters the next sweep as 1/nu = 0.
 """
 
 import csv

@@ -60,15 +60,20 @@ class _StubGammaRng(_CountingRng):
 
 
 class _ZeroExponentialRng(_CountingRng):
-    """The k-th array of standard exponentials has a 0 as its first entry."""
+    """The k-th array (or, with scalar=True, the k-th scalar) of standard
+    exponentials has a 0 as its first entry."""
 
-    def __init__(self, rng, k):
+    def __init__(self, rng, k, scalar=False):
         super().__init__(rng)
-        self.k = k
+        self.k, self.scalar = k, scalar
 
     def standard_exponential(self, *args, **kwargs):
         out = self.rng.standard_exponential(*args, **kwargs)
-        if np.ndim(out):
+        if np.ndim(out) == 0 and self.scalar:
+            self.k -= 1
+            if self.k == 0:
+                return 0.0
+        elif np.ndim(out) and not self.scalar:
             self.k -= 1
             if self.k == 0:
                 out[0] = 0.0
@@ -242,45 +247,36 @@ class TestGibbsStep:
             assert 0.1 < p < 0.9
             assert abs(emp - p) <= 4.0 * math.sqrt(p * (1.0 - p) / N)
 
-    def test_truncated_inverse_gamma_matches_analytic_cdf(self):
-        from scipy.special import gammaincc
-
-        from hsuq.hierarchical import _trunc_invgamma
-
+    @pytest.mark.parametrize("shape, scale, lo, hi, seed, probes, fallback", [
         # about 68% of the untruncated law lies in [lo, hi], so both the
         # untruncated first try and the inverse-CDF fallback run
-        shape, scale, lo, hi = 3.0, 2.0, 0.5, 2.0
-        rng = _CountingRng(np.random.default_rng(41))
-        N = 20_000
-        draws = np.array([_trunc_invgamma(rng, shape, scale, lo, hi) for _ in range(N)])
-        assert draws.min() >= lo and draws.max() <= hi
-        assert rng.calls["standard_gamma"] == N
-        assert 0.2 * N < rng.calls["random"] < 0.45 * N
-
-        def cdf(x):
-            F = lambda t: gammaincc(shape, scale / t)
-            return (F(x) - F(lo)) / (F(hi) - F(lo))
-
-        for probe in (0.6, 1.0, 1.5):
-            emp = np.mean(draws <= probe)
-            p = cdf(probe)
-            assert abs(emp - p) <= 4.0 * math.sqrt(p * (1.0 - p) / N)
-
-    def test_untruncated_range_draws_the_inverse_gamma(self):
+        (3.0, 2.0, 0.5, 2.0, 41, (0.6, 1.0, 1.5), (0.2, 0.45)),
+        # no truncation: the first try is always kept
+        (4.5, 3.0, 0.0, math.inf, 44, (0.5, 0.8, 1.2), (0.0, 0.0)),
+    ], ids=["partly-truncated", "untruncated"])
+    def test_truncated_inverse_gamma_matches_analytic_cdf(self, shape, scale, lo, hi, seed,
+                                                          probes, fallback):
         from scipy.special import gammaincc
 
         from hsuq.hierarchical import _trunc_invgamma
 
-        shape, scale = 4.5, 3.0
-        rng = _CountingRng(np.random.default_rng(44))
+        rng = _CountingRng(np.random.default_rng(seed))
         N = 20_000
-        draws = np.array([_trunc_invgamma(rng, shape, scale, 0.0, math.inf)
-                          for _ in range(N)])
+        draws = np.array([_trunc_invgamma(rng, shape, scale, lo, hi) for _ in range(N)])
         assert np.all(np.isfinite(draws)) and draws.min() > 0.0
-        assert rng.calls["random"] == 0
-        for probe in (0.5, 0.8, 1.2):
+        assert draws.min() >= lo and draws.max() <= hi
+        assert rng.calls["standard_gamma"] == N
+        assert fallback[0] * N <= rng.calls["random"] <= fallback[1] * N
+
+        def F(t):
+            return gammaincc(shape, scale / t) if t > 0.0 else 0.0
+
+        def cdf(x):
+            return (F(x) - F(lo)) / (F(hi) - F(lo))
+
+        for probe in probes:
             emp = np.mean(draws <= probe)
-            p = gammaincc(shape, scale / probe)
+            p = cdf(probe)
             assert 0.1 < p < 0.9
             assert abs(emp - p) <= 4.0 * math.sqrt(p * (1.0 - p) / N)
 
@@ -371,14 +367,39 @@ class TestSweepGuards:
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_a_zero_exponential_fails_the_chain(self, prior, monkeypatch):
-        # the zero makes one lambda^2 infinite, so the next sweep's theta
-        # is NaN; the sweep does not check its draws, run_chain does
+        # the fifth array is sweep 3's lambda^2 draw: the zero makes one
+        # lambda^2 infinite, so the next sweep's theta is NaN; the sweep
+        # does not check its draws, run_chain does
         make = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: _ZeroExponentialRng(make(seed), k=5))
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite theta"):
             run_chain(_mixed_data(), prior, iters=200, burn_in=100, seed=1)
+
+    @pytest.mark.parametrize("prior", ALL_PRIORS)
+    def test_a_zero_exponential_in_nu_leaves_the_chain_finite(self, prior, monkeypatch):
+        # the fourth array is sweep 2's nu draw. An infinite nu enters the
+        # next sweep only as 1/nu = 0, the limit of a huge draw, so no kept
+        # draw goes bad and the chain runs on.
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ZeroExponentialRng(make(seed), k=4))
+        with np.errstate(divide="ignore"):
+            chain = run_chain(_mixed_data(), prior, iters=200, burn_in=0, seed=1)
+        assert np.all(np.isfinite(chain.thetas))
+        assert np.all((chain.taus > 0.0) & np.isfinite(chain.taus))
+
+    @pytest.mark.parametrize("prior", [HyperPrior.half_cauchy(),
+                                       HyperPrior.truncated_half_cauchy()])
+    def test_a_zero_exponential_in_xi_stops_the_sweep(self, prior, monkeypatch):
+        # xi's exponential is a Python float, so the sweep's scalar
+        # division by it raises at once
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ZeroExponentialRng(make(seed), k=2, scalar=True))
+        with pytest.raises(ZeroDivisionError):
+            run_chain(_mixed_data(), prior, iters=200, burn_in=0, seed=1)
 
     def test_quantile_intervals_equal_two_quantile_calls(self):
         chain = run_chain(_mixed_data(n=60), HyperPrior.truncated_half_cauchy(),
@@ -620,14 +641,18 @@ class TestTauLaw:
         HyperPrior.truncated_half_cauchy(),
         HyperPrior.truncated_uniform(),
     ])
-    @pytest.mark.parametrize("signals", [10, 0])
+    @pytest.mark.parametrize("signals", [10, 0, 200])
     def test_independent_chain_tau_means_match_the_exact_posterior_mean(self, prior,
                                                                        signals):
         # E[tau | Y] from the exact marginal likelihood on a fine grid in
         # log tau over the support, weighted by the hyperprior density
-        # (times tau, the Jacobian of log tau). The untruncated half-Cauchy
-        # is left out: GlobalScale refuses the grid's tau > 1. On null data
-        # the posterior reaches 1/n, so the truncation binds.
+        # (times tau, the Jacobian of log tau), by Simpson's rule. The
+        # untruncated half-Cauchy is left out: GlobalScale refuses the
+        # grid's tau > 1. On null data the posterior reaches down to 1/n.
+        # With every coordinate a signal it piles against tau = 1, where
+        # the tau^2 draw falls back to the inverse CDF on nearly every sweep.
+        from scipy.integrate import simpson
+
         n = 200
         theta = np.zeros(n)
         theta[:signals] = 1.5 * zeta(1.0 / n)
@@ -638,7 +663,7 @@ class TestTauLaw:
         _, loglik = _tau_sweep(Y, taus)
         logpost = loglik + s + np.log([prior.density(t, n) for t in taus])
         post = np.exp(logpost - logpost.max())
-        exact = np.trapezoid(taus * post, s) / np.trapezoid(post, s)
+        exact = simpson(taus * post, x=s) / simpson(post, x=s)
         means = np.array([run_chain(Y, prior, iters=4500, burn_in=1500, seed=k).taus.mean()
                           for k in range(12)])
         se = means.std(ddof=1) / math.sqrt(means.size)
