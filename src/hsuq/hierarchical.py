@@ -329,19 +329,22 @@ def _check_chain(chain, alpha, L):
     _check_level(alpha, L)
 
 
+_TILE = 32  # chain columns per sorted tile: one reused (_TILE, draws) buffer
+_ROWS = 64  # draws per chunk of the ball's distances: one reused (_ROWS, n) buffer
+
+
 def _column_quantiles(x, q):
     """np.quantile(x, q, axis=0) for a 2-D x and 1-D q, bit for bit.
 
-    One transposed copy is sorted in place along its rows, so each
-    column's order statistics sit in contiguous memory. Every level is
-    then read by numpy's "linear" rule: virtual index (N-1) q, and the
-    interpolation of numpy's _lerp, including its second form for
-    weights of 1/2 or more. A column holding NaN sorts it last and reads
-    NaN at every level, as np.quantile does.
+    The columns are taken _TILE at a time: each tile is copied, transposed,
+    into one reused buffer and sorted in place along its rows, so each
+    column's order statistics sit in contiguous memory and no copy of the
+    whole of x is made. Every level is then read by numpy's "linear" rule:
+    virtual index (N-1) q, and the interpolation of numpy's _lerp,
+    including its second form for weights of 1/2 or more. A column holding
+    NaN sorts it last and reads NaN at every level, as np.quantile does.
     """
-    s = x.T.copy()
-    s.sort(axis=1)
-    N = s.shape[1]
+    N, m = x.shape
     v = (N - 1) * np.asarray(q, dtype=float)
     prev = np.floor(v)
     nxt = prev + 1.0
@@ -349,12 +352,19 @@ def _column_quantiles(x, q):
     prev[top] = nxt[top] = -1.0
     prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
     t = (v - prev)[:, None]
-    a, b = s[:, prev].T, s[:, nxt].T
-    diff = b - a
-    out = a + diff * t
-    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    last = s[:, -1]
-    np.copyto(out, last, where=np.isnan(last))
+    out = np.empty((v.size, m))
+    buf = np.empty((min(_TILE, m), N))
+    for lo in range(0, m, _TILE):
+        o = out[:, lo:lo + _TILE]
+        s = buf[:o.shape[1]]
+        s[:] = x[:, lo:lo + _TILE].T
+        s.sort(axis=1)
+        a, b = s[:, prev].T, s[:, nxt].T
+        diff = b - a
+        np.add(a, diff * t, out=o)
+        np.subtract(b, diff * (1 - t), out=o, where=t >= 0.5)
+        last = s[:, -1]
+        np.copyto(o, last, where=np.isnan(last))
     return out
 
 
@@ -362,8 +372,8 @@ def hb_marginal_intervals(chain, alpha, L=1.0):
     """Per-coordinate credible intervals from the kept draws, as the
     record array of interval_batch: the equal-tail alpha/2 and
     1-alpha/2 empirical quantiles, reported as midpoint plus half-range.
-    The quantiles are exact order statistics of one sorted copy of the
-    draws, equal bit for bit to np.quantile's default method.
+    The quantiles are exact order statistics of the draws, sorted a tile
+    of columns at a time, equal bit for bit to np.quantile's default method.
     """
     _check_chain(chain, alpha, L)
     lo, hi = _column_quantiles(chain.thetas, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -374,12 +384,20 @@ def hb_ball(chain, alpha, L=1.0):
     """L2 credible ball around the chain mean vector.
 
     The distances are np.linalg.norm's sqrt(add.reduce(d * d, axis=1)),
-    squared in place on the one centred copy of the draws.
+    each row's sum on its own, so they are formed _ROWS draws at a time:
+    centred and squared in place in one reused buffer, with no centred copy
+    of the whole chain.
     """
     _check_chain(chain, alpha, L)
     center = chain.theta_mean
-    d = chain.thetas - center[None, :]
-    dist = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=1))
+    x = chain.thetas
+    dist = np.empty(len(x))
+    buf = np.empty((min(_ROWS, len(x)), x.shape[1]))
+    for lo in range(0, len(x), _ROWS):
+        hi = min(lo + _ROWS, len(x))
+        d = np.subtract(x[lo:hi], center, out=buf[:hi - lo])
+        np.add.reduce(np.multiply(d, d, out=d), axis=1, out=dist[lo:hi])
+    np.sqrt(dist, out=dist)
     r = float(np.quantile(dist, 1.0 - alpha))
     se = mcse_quantile(dist, 1.0 - alpha)
     return CredibleBall(

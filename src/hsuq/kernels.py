@@ -172,8 +172,10 @@ def _check_level(alpha, L=1.0):
 # Quadrature engine
 # ---------------------------------------------------------------------------
 
-_CHUNK = 4096  # rows of y per exp() block: a (rows, 400 nodes) matrix is ~13 MB
-_SWEEP_CHUNK = 1024  # the tau sweep's product has 600 rows per y: ~5 MB a block
+_CHUNK = 512  # rows of y per exp() block: a (rows, 256-400 nodes) matrix is 1-1.6 MB
+# rows of y per tau-sweep block: the product has 3 rows per swept tau, 96 at 32
+# Chebyshev taus (under 1 MB a block), beside a 2-3 MB damping matrix
+_SWEEP_CHUNK = 1024
 
 #: Gauss-Legendre nodes per panel, in every quadrature of the package.
 _GAUSS_ORDER = 16
@@ -371,18 +373,18 @@ def _tau_sweep(y: np.ndarray, taus: np.ndarray):
     """
     g = taus.size
     u, w = _layout(taus, float(np.abs(y).max()))
-    y2 = y * y
     u2 = u * u
     fs = np.concatenate([w, w * u2, w * u2 * (1.0 - u2)])
     scores = np.zeros(g)
     logj = np.zeros(g)
-    for lo in range(0, y2.size, _SWEEP_CHUNK):
-        yc = y2[lo:lo + _SWEEP_CHUNK]
+    for lo in range(0, y.size, _SWEEP_CHUNK):
+        yc = np.square(y[lo:lo + _SWEEP_CHUNK])
         j0, jz, jd = (fs @ _damp(yc, u).T).reshape(3, g, yc.size)
         scores += np.sum(yc * jd / j0 - jz / j0, axis=1)
         logj += np.sum(np.log(j0), axis=1)
+        del j0, jz, jd  # this block's product, freed before the next block's damping
     const = np.log(taus) - math.log(math.pi) - _LOG_SQRT_2PI
-    return scores, y2.size * const + logj
+    return scores, y.size * const + logj
 
 
 def _as_obs(Y, min_size):

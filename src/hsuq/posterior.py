@@ -46,6 +46,7 @@ from .kernels import (
 __all__ = ["PosteriorBatch"]
 _BLOCK = 128  # rows per chunk of the streamed ball: one draw call on one worker
 _STREAM = 64  # rows per sampler block, each with its own child generator
+_SUB_BLOCK = 16  # rows per expansion and noise step of a block: (16, draws) temporaries
 _BUILD_BLOCK = 256  # rows per theta-law build block: under 1,000 doubles a row, near L2
 # unit panels [k, k+1] per row, for k from floor(y) - 10: they cover [y - 10, y + 10]
 _WINDOW = 21
@@ -384,15 +385,29 @@ def _node_law(y, u, w):
 
 
 def _draw_block(u, w, y, rng, out):
-    """One block's weights into ``out`` (rows, draws): node law, counts, expanded, shuffled."""
+    """One block's weights into ``out`` (rows, draws): node law, counts, expanded, shuffled.
+
+    The counts are drawn for the whole block and then expanded and shuffled
+    _SUB_BLOCK rows at a time; ``permuted`` shuffles row after row, so the
+    generator is read in the same order as by one whole-block shuffle.
+    """
     counts = rng.multinomial(out.shape[1], _node_law(y, u, w))
-    out[:] = np.repeat(np.tile(u * u, len(out)), counts.ravel()).reshape(out.shape)
-    rng.permuted(out, axis=1, out=out)
+    z = np.tile(u * u, _SUB_BLOCK)
+    for lo in range(0, len(out), _SUB_BLOCK):
+        part, c = out[lo:lo + _SUB_BLOCK], counts[lo:lo + _SUB_BLOCK]
+        part[:] = np.repeat(z[:c.size], c.ravel()).reshape(part.shape)
+        rng.permuted(part, axis=1, out=part)
 
 
 def _noise_block(y, rng, out):
-    """One block's weights ``out`` to draws in place: z * y + sqrt(z) * N."""
-    noise = np.sqrt(out)
-    noise *= rng.standard_normal(out.shape)
-    out *= y[:, None]
-    out += noise
+    """One block's weights ``out`` to draws in place: z * y + sqrt(z) * N.
+
+    The normals are drawn _SUB_BLOCK rows at a time, in the order of one
+    whole-block draw.
+    """
+    for lo in range(0, len(out), _SUB_BLOCK):
+        part = out[lo:lo + _SUB_BLOCK]
+        noise = np.sqrt(part)
+        noise *= rng.standard_normal(part.shape)
+        part *= y[lo:lo + _SUB_BLOCK, None]
+        part += noise

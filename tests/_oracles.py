@@ -6,6 +6,7 @@ package can be checked against code that shares none of its structure.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -451,3 +452,33 @@ def gamma_gibbs_step(state, Y, prior, rng):
             tau2 = trunc_invgamma_oracle(rng, 0.5 * (n + 1), 1.0 / xi + S, lo * lo, hi * hi)
             xi = (1.0 + 1.0 / tau2) / rng.standard_exponential()
     return GibbsState(theta=theta, lambda2=lam2, nu=nu, tau2=tau2, xi=xi)
+
+
+def traced_peak(f, *args, **kwargs):
+    """``(f(*args, **kwargs), peak)``: the result and the peak bytes that
+    tracemalloc traced during the call."""
+    tracemalloc.start()
+    try:
+        out = f(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def whole_block_draws(batch, draws, seed, rows):
+    """(weights, noise) of a PosteriorBatch's slice ``rows``, each sampler
+    block drawn whole from its own child of the seed's generator: its node
+    counts in one multinomial call, expanded into one (rows, draws) array
+    and shuffled per row, then its normal draws in one call."""
+    from hsuq.posterior import _STREAM, _node_law
+
+    W, z = _node_law(batch.Y[rows], batch._u, batch._w), batch._u * batch._u
+    starts = range(0, len(W), _STREAM)
+    weights, noise = [], []
+    for lo, child in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
+        counts = child.multinomial(draws, W[lo:lo + _STREAM])
+        zb = np.repeat(np.tile(z, len(counts)), counts.ravel()).reshape(len(counts), draws)
+        child.permuted(zb, axis=1, out=zb)
+        weights.append(zb)
+        noise.append(child.standard_normal(zb.shape))
+    return np.vstack(weights).T, np.vstack(noise).T

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from hsuq.credible import interval_batch
 from hsuq.experiments import (
@@ -75,6 +76,7 @@ def test_criterion_03_score_function_bounds():
         f"threshold-scale ratio {m['zeta_ratio']:.5f} outside [0.85, 1.15]")
 
 
+@pytest.mark.slow
 def test_criterion_04_null_ball_radius_floor():
     r = verify_theory("radius-bound")
     m = r.measured
@@ -206,6 +208,7 @@ def _crit09_deviation(i):
     return abs(that - tg) / gap
 
 
+@pytest.mark.slow
 def test_criterion_09_global_scale_estimator():
     import multiprocessing
     import sys

@@ -5,12 +5,12 @@ import math
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from _oracles import traced_peak
 from hsuq.credible import (
     CredibleBall,
     ExcessiveBiasReport,
@@ -140,6 +140,7 @@ class TestIntervalBatch:
         assert borderline_missed >= 0.9 * reps
 
 
+@pytest.mark.slow
 class TestBallRadius:
     def test_single_coordinate_matches_interval_radius(self):
         # With one coordinate the ball is an interval around the same
@@ -273,13 +274,18 @@ class TestBallRadius:
         # node matrix; the full (draws, n) draw matrix alone would be 80 MB
         Y = np.random.default_rng(12).standard_normal(5000)
         draws = 2000
-        tracemalloc.start()
-        try:
-            ball_radius(Y, 0.01, 0.05, draws, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(ball_radius, Y, 0.01, 0.05, draws, np.random.default_rng(1))[1]
         assert peak <= 6 * _BLOCK * draws * 8
+
+    def test_credible_ball_holds_one_chunk_per_worker(self):
+        # center pass included: the posterior mean in 512-row damping blocks
+        # (about 1 MB), then at most two workers, each with its (draws, _BLOCK)
+        # chunk (2 MB) and (_SUB_BLOCK, draws) temporaries; whole-block
+        # expansion and noise, or 4,096-row damping blocks, exceed the bound
+        Y = np.random.default_rng(12).standard_normal(5000)
+        draws = 2000
+        peak = traced_peak(credible_ball, Y, 0.01, 0.05, 1.0, draws, np.random.default_rng(1))[1]
+        assert peak <= 3.25 * _BLOCK * draws * 8
 
     def test_radius_grows_with_dimension_on_null_data(self):
         tau = GlobalScale(0.1)
@@ -304,6 +310,7 @@ class TestBallRadius:
         assert r >= 0.5 * math.sqrt(n * t * zeta(t))
 
 
+@pytest.mark.slow
 class TestCredibleBallOp:
     def test_center_is_posterior_mean_vector(self):
         rng = np.random.default_rng(15)

@@ -3,14 +3,13 @@
 import collections
 import logging
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import gamma_gibbs_step, trunc_invgamma_oracle
+from _oracles import gamma_gibbs_step, traced_peak, trunc_invgamma_oracle
 from hsuq import hierarchical
 from hsuq.credible import ball_radius
 from hsuq.hierarchical import (
@@ -18,6 +17,8 @@ from hsuq.hierarchical import (
     GibbsState,
     HyperPrior,
     HyperPriorKind,
+    _ROWS,
+    _TILE,
     _column_quantiles,
     gibbs_step,
     hb_ball,
@@ -608,18 +609,35 @@ class TestSummariesMatchNumpy:
         assert ball.mc_se == 1.1 * mcse_quantile(dist, 1.0 - alpha)
         npt.assert_array_equal(ball.center, center)
 
+    @pytest.mark.parametrize("layout", ["ties", "strided"])
+    @pytest.mark.parametrize("m", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
+    def test_column_tiles_equal_np_quantile_bit_for_bit(self, m, layout):
+        # column counts on either side of one and two tiles; the last
+        # column, in the last tile, holds a NaN
+        thetas = _draws(101, m, layout=layout).copy()
+        thetas[17, m - 1] = math.nan
+        q = [0.025, 0.3, 0.5, 0.975]
+        out = _column_quantiles(thetas, q)
+        npt.assert_array_equal(out, np.quantile(thetas, q, axis=0))
+        assert np.isnan(out[:, -1]).all() and not np.isnan(out[:, :-1]).any()
+
+    @pytest.mark.parametrize("N", [2 * _ROWS, 2 * _ROWS + 1, 3 * _ROWS - 1])
+    def test_ball_chunks_equal_the_linalg_norm_form_bit_for_bit(self, N):
+        # draw counts at and off a multiple of the row chunk
+        thetas = _draws(N, 2 * _TILE + 1, layout="strided")
+        center = thetas.mean(axis=0)
+        dist = np.linalg.norm(thetas - center[None, :], axis=1)
+        ball = hb_ball(_as_chain(thetas), 0.05)
+        assert ball.radius == float(np.quantile(dist, 0.95))
+        assert ball.mc_se == mcse_quantile(dist, 0.95)
+
     @pytest.mark.parametrize("summary", [hb_marginal_intervals, hb_ball])
-    def test_summary_peak_memory_is_one_copy_of_the_draws(self, summary):
-        # one sorted (or centred) copy of the draws, and nothing of their
-        # size besides it
+    def test_summary_peak_memory_is_a_fraction_of_the_draws(self, summary):
+        # a (_TILE, draws) sorted tile or a (_ROWS, n) centred chunk, reused:
+        # no copy of the whole chain, which alone would read 1.0
         chain = _as_chain(np.random.default_rng(5).standard_normal((2500, 400)))
-        tracemalloc.start()
-        try:
-            summary(chain, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * chain.thetas.nbytes
+        peak = traced_peak(summary, chain, 0.05)[1]
+        assert peak <= 0.3 * chain.thetas.nbytes
 
 
 class TestStationarity:

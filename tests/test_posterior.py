@@ -1,7 +1,6 @@
 """Tests for the per-coordinate posterior law and its batch machinery."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ from scipy.special import ndtr, ndtri
 
 from hsuq.credible import covers, interval_batch
 from hsuq.kernels import marginal_density, posterior_mean, posterior_variance
-from hsuq.posterior import _BLOCK, _STREAM, PosteriorBatch, _node_law
+from hsuq.posterior import _BLOCK, _STREAM, _SUB_BLOCK, PosteriorBatch, _node_law
 from hsuq.tau import mmle
 
 from _oracles import (ThetaPosterior, direct_theta_law, marginal_cdf_quad, newton_quantile,
-                      newton_radius)
+                      newton_radius, traced_peak, whole_block_draws)
 
 # one (y, tau) pair per regime: observation far below, near, and far
 # above the threshold scale sqrt(2 log(1/tau))
@@ -45,22 +44,6 @@ def draws1(post, size, rng):
 def node_law(post):
     """The (n, nodes) z node law of a batch's rows, built for a test."""
     return _node_law(post.Y, post._u, post._w)
-
-
-def rebuilt_draws(batch, draws, seed, rows):
-    """(weights, noise) of the slice ``rows``, each block of _STREAM rows
-    rebuilt from its own child of the seed's generator: node counts,
-    expanded and shuffled per row, then the block's normal draws."""
-    W, z = _node_law(batch.Y[rows], batch._u, batch._w), batch._u * batch._u
-    starts = range(0, len(W), _STREAM)
-    weights, noise = [], []
-    for lo, child in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
-        counts = child.multinomial(draws, W[lo:lo + _STREAM])
-        zb = np.repeat(np.tile(z, len(counts)), counts.ravel()).reshape(len(counts), draws)
-        child.permuted(zb, axis=1, out=zb)
-        weights.append(zb)
-        noise.append(child.standard_normal(zb.shape))
-    return np.vstack(weights).T, np.vstack(noise).T
 
 
 class TestShrinkWeightLaw:
@@ -341,12 +324,7 @@ class TestPosteriorBatch:
         # 8 * getbufsize() bytes, which at 256 nodes is not inside 25% of W
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
         y = batch.Y[:_STREAM]
-        tracemalloc.start()
-        try:
-            W = _node_law(y, batch._u, batch._w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        W, peak = traced_peak(_node_law, y, batch._u, batch._w)
         assert W.shape == (_STREAM, len(batch._u))
         assert peak <= 1.25 * W.nbytes + 8 * np.getbufsize()
 
@@ -354,30 +332,20 @@ class TestPosteriorBatch:
         # each block's node law is built, and its node counts expanded and
         # shuffled in place, block by block
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
-        tracemalloc.start()
-        try:
-            z = batch.draw_weights(2000, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        z, peak = traced_peak(batch.draw_weights, 2000, np.random.default_rng(1))
         assert peak <= 1.25 * z.nbytes
 
     def test_draw_matrix_holds_three_output_matrices(self):
         # the weights, the noise and the normal draws; z * Y + sqrt(z) * N
         # is formed in place on the weights
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
-        tracemalloc.start()
-        try:
-            M = batch.draw_matrix(2000, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        M, peak = traced_peak(batch.draw_matrix, 2000, np.random.default_rng(1))
         assert peak <= 3.25 * M.nbytes
 
     def test_draw_matrix_is_weighted_data_plus_scaled_noise(self):
         # 300 rows are five sampler blocks, each with its own child stream
         batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
-        z, noise = rebuilt_draws(batch, 1000, 2, slice(None))
+        z, noise = whole_block_draws(batch, 1000, 2, slice(None))
         assert np.array_equal(batch.draw_weights(1000, np.random.default_rng(2)), z)
         want = z * batch.Y[None, :] + np.sqrt(z) * noise
         got = batch.draw_matrix(1000, np.random.default_rng(2))
@@ -388,12 +356,24 @@ class TestPosteriorBatch:
         # rows 40..299 span five sampler blocks of the slice, counted from row 40
         batch = PosteriorBatch(np.random.default_rng(13).standard_normal(300), 0.05)
         rows = slice(40, 300)
-        z, noise = rebuilt_draws(batch, 1000, 2, rows)
+        z, noise = whole_block_draws(batch, 1000, 2, rows)
         assert np.array_equal(batch.draw_weights(1000, np.random.default_rng(2), rows), z)
         want = z * batch.Y[None, rows] + np.sqrt(z) * noise
         got = batch.draw_matrix(1000, np.random.default_rng(2), rows)
         assert got.shape == (1000, 260)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, _SUB_BLOCK - 1, _SUB_BLOCK + 1, _STREAM - 1,
+                                   2 * _STREAM + 1, 700])
+    def test_sub_blocks_draw_what_whole_blocks_draw(self, n):
+        # a sampler block expands its counts and adds its noise _SUB_BLOCK
+        # rows at a time; on either side of both edges, and with a short last
+        # sub-block (700 rows), the draws equal whole-block draws bit for bit
+        batch = PosteriorBatch(np.random.default_rng([n, 3]).standard_normal(n) * 2.0, 0.05)
+        z, noise = whole_block_draws(batch, 1000, 5, slice(None))
+        assert np.array_equal(batch.draw_weights(1000, np.random.default_rng(5)), z)
+        got = batch.draw_matrix(1000, np.random.default_rng(5))
+        assert np.array_equal(got, z * batch.Y[None, :] + np.sqrt(z) * noise)
 
     def test_leading_block_slice_draws_the_first_block_of_all_rows(self):
         # the sampler's first block takes the same draws from the same seed
@@ -489,12 +469,7 @@ class TestThetaLaw:
         for far in (50.0, 1e4):
             batch = PosteriorBatch([0.0] * 19 + [far], 0.05)
             batch.means, batch.variances
-            tracemalloc.start()
-            try:
-                batch.radius_batch(0.05)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(batch.radius_batch, 0.05)[1])
         assert peaks[1] <= peaks[0]
         # far out the posterior is N(y, 1) to O(1 / y^2)
         r = PosteriorBatch([0.0] * 19 + [1e6], 0.05).radius_batch(0.05)
@@ -694,12 +669,7 @@ class TestSolver:
     def test_memory_stays_in_row_blocks(self):
         batch = eb_batch(5, n=5000)
         batch.means, batch.variances
-        tracemalloc.start()
-        try:
-            batch.radius_batch(0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(batch.radius_batch, 0.05)[1]
         # 25% over one (5000, 960)-double matrix, a bound fixed in bytes: the
         # radius solve never touches the sampler's z nodes
         assert peak <= 1.25 * 5000 * 960 * 8

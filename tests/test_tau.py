@@ -1,7 +1,6 @@
 """Tests for the global-scale estimators."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hsuq.credible import excessive_bias_diagnostic
 from hsuq.kernels import SparsityRate, _tau_sweep, log_marginal_lik, score_m
 from hsuq.tau import TauMethod, fixed_tau, mmle, score_sum, simple_estimator
 
-from _oracles import crit09_data, grid_mmle, loop_mmle
+from _oracles import crit09_data, grid_mmle, loop_mmle, traced_peak
 
 
 def _sparse(seed, n, k, size):
@@ -157,24 +156,12 @@ class TestGridSweep:
 
     def test_memory_does_not_grow_with_n(self):
         def peak(n):
-            y = _sparse(11, n, n // 100, 5.0)
-            tracemalloc.start()
-            try:
-                mmle(y)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(mmle, _sparse(11, n, n // 100, 5.0))[1]
 
         assert peak(50_000) <= 1.5 * peak(10_000)
 
     def test_peak_memory_at_ten_thousand(self):
-        y = _sparse(11, 10_000, 100, 5.0)
-        tracemalloc.start()
-        try:
-            mmle(y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(mmle, _sparse(11, 10_000, 100, 5.0))[1]
         assert peak <= 35e6
 
 
