@@ -60,7 +60,11 @@ class CredibleBall:
             raise ValueError("mc_draws must be a positive integer")
 
     def contains(self, theta) -> bool:
+        """Whether the point theta, of the centre's shape, lies in the closed ball."""
         theta = np.asarray(theta, dtype=float)
+        if theta.shape != np.shape(self.center):
+            raise ValueError(f"point of shape {theta.shape} does not match the centre's "
+                             f"shape {np.shape(self.center)}")
         return bool(np.linalg.norm(theta - self.center) <= self.radius)
 
 

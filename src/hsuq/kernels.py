@@ -188,6 +188,13 @@ def _check_square(y_abs):
         raise ValueError(f"|y| = {y_abs:g} is out of range: its square overflows")
 
 
+def _check_range(tau: float, y_abs_max: float):
+    """Reject a tau whose square underflows or a |y| whose square overflows."""
+    _check_square(y_abs_max)
+    if tau * tau < sys.float_info.min:
+        raise ValueError(f"tau = {tau:g} is out of range: its square underflows")
+
+
 def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
     """Panel breakpoints on [0, 1] for the J-integrals.
 
@@ -196,11 +203,9 @@ def _panel_edges(tau: float, y_abs_max: float) -> np.ndarray:
     scale of the exponential layer (1 - u ~ 1/y^2). The layer needs y^2
     finite, which holds for |y| < 1.34e154, and the knee needs tau^2
     normal, which holds for tau >= 1.49e-154; outside either range it
-    raises ValueError.
+    raises ValueError (``_check_range``).
     """
-    _check_square(y_abs_max)
-    if tau * tau < sys.float_info.min:
-        raise ValueError(f"tau = {tau:g} is out of range: its square underflows")
+    _check_range(tau, y_abs_max)
     pts = [0.0, 0.5, 1.0]
     e = tau / 8.0
     while e < 0.4:
@@ -309,27 +314,57 @@ _TO_LEGENDRE = ((np.arange(_GAUSS_ORDER) + 0.5)[:, None]
                 * np.polynomial.legendre.legvander(_REF_X, _GAUSS_ORDER - 1).T * _REF_W)
 
 
+def _interp_matrix():
+    """(_GAUSS_ORDER, 3 * _GAUSS_ORDER): the Legendre values P_0..P_15 at s to
+    the node weights of q, of the value and of the slope at s, where the
+    integral from -1 to s of the polynomial p = sum_k c_k P_k is (s + 1) q(s).
+
+    Exact Legendre algebra on the coefficients c = _TO_LEGENDRE f. The slope
+    is P'_k = sum_{l < k, k - l odd} (2l + 1) P_l. Integrating Legendre's
+    equation (d/ds)((1 - s^2) P'_k) = -k (k + 1) P_k from -1 gives
+    int_{-1}^s P_k = (s + 1) Q_k with Q_0 = 1 and, for k >= 1,
+    Q_k = (s - 1) P'_k / (k (k + 1)), where each (2l + 1)(s - 1) P_l is
+    (l + 1) P_{l+1} + l P_{l-1} - (2l + 1) P_l. So every slope entry is an
+    integer and every Q entry an integer over k (k + 1).
+    """
+    n = _GAUSS_ORDER
+    slope, q = np.zeros((n, n)), np.zeros((n, n))  # row k: P'_k and Q_k in P_0..P_15
+    q[0, 0] = 1.0
+    for k in range(1, n):
+        num = np.zeros(n + 1, dtype=np.int64)
+        for ll in range(k - 1, -1, -2):
+            slope[k, ll] = 2 * ll + 1
+            num[ll + 1] += ll + 1
+            num[ll] -= 2 * ll + 1
+            if ll:
+                num[ll - 1] += ll
+        q[k] = num[:n] / (k * (k + 1))  # num[n] is 0: Q_k has degree k
+    return np.concatenate([q.T @ _TO_LEGENDRE, _TO_LEGENDRE, slope.T @ _TO_LEGENDRE], axis=1)
+
+
+_INTERP = _interp_matrix()
+
+
 def _panel_interp(f, s):
     """(3, m): integral from -1 to s, value and slope at s of the degree-15
     polynomial through each row of node values f (m, _GAUSS_ORDER), at the
     local coordinate s in [-1, 1] of the panel (derivatives in s).
 
-    In Legendre form, int_{-1}^s P_0 = s + 1, int_{-1}^s P_k =
-    (P_{k+1}(s) - P_{k-1}(s)) / (2k + 1) and P'_{k+1} = P'_{k-1} + (2k + 1) P_k.
+    One Bonnet recurrence gives P_0..P_15 at s, _INTERP takes them to node
+    weights, and each row's weights meet its own f: no product mixes rows.
+    The integral is (s + 1) q(s), so it is exactly 0 at s = -1.
     """
     n = _GAUSS_ORDER
-    c = f @ _TO_LEGENDRE.T
-    P = np.empty((n + 1,) + s.shape)
-    D = np.zeros((n,) + s.shape)
-    P[0], P[1], D[1] = 1.0, s, 1.0
-    for k in range(1, n):
-        P[k + 1] = ((2 * k + 1) * s * P[k] - k * P[k - 1]) / (k + 1)
-        if k < n - 1:
-            D[k + 1] = D[k - 1] + (2 * k + 1) * P[k]
-    A = np.empty((n,) + s.shape)
-    A[0] = s + 1.0
-    A[1:] = (P[2:] - P[:-2]) / (2.0 * np.arange(1, n) + 1.0)[:, None]
-    return np.stack([np.einsum("mk,km->m", c, B) for B in (A, P[:n], D)])
+    P = np.empty((n,) + s.shape)
+    P[0], P[1] = 1.0, s
+    a = np.multiply.outer((2.0 * np.arange(n) + 1.0) / (np.arange(n) + 1.0), s)
+    for k in range(1, n - 1):  # (k + 1) P_{k+1} = (2k + 1) s P_k - k P_{k-1}
+        np.multiply(a[k], P[k], out=P[k + 1])
+        P[k + 1] -= k / (k + 1) * P[k - 1]
+    wts = np.matmul(P.T[:, None, :], _INTERP).reshape(s.size, 3, n)  # a (1, n) product per row
+    out = np.einsum("mcj,mj->cm", wts, f)
+    out[0] *= s + 1.0
+    return out
 
 
 def _mixture_moments(y: np.ndarray, tau: float, powers, splits: int = 0) -> np.ndarray:
@@ -536,6 +571,30 @@ def score_m(y, tau) -> "float | np.ndarray":
     return _elementwise(formula, y, tau)
 
 
+#: Exponent pairs of one moment pass: 1, z, z^2, w = 1 - z and w^2.
+_MOMENT_POWERS = [(0, 0), (2, 0), (4, 0), (0, 1), (0, 2)]
+
+
+def _mean_from(y, j0, jz):
+    """Posterior mean y E(z | y) from the first two moments of a moment pass."""
+    return y * jz / j0
+
+
+def _variance_from(y, j0, jz, jz2, jw, jw2):
+    """Posterior variance y^2 Var(z | y) + E(z | y) from the five moments of a moment pass."""
+    ez = jz / j0
+    low = ez < 0.5
+    m1 = np.where(low, ez, jw / j0)
+    m2 = np.where(low, jz2, jw2) / j0
+    return y * y * (m2 - m1 * m1) + ez
+
+
+def _posterior_moments(y: np.ndarray, t: float):
+    """(means, variances) of flat y from one five-power moment pass."""
+    j = _mixture_moments(y, t, _MOMENT_POWERS)
+    return _mean_from(y, *j[:2]), _variance_from(y, *j)
+
+
 def posterior_mean(y, tau) -> "float | np.ndarray":
     """Posterior mean of the parameter given one observation.
 
@@ -544,8 +603,7 @@ def posterior_mean(y, tau) -> "float | np.ndarray":
     magnitude by |y|.
     """
     def formula(y, t):
-        j0, jz = _mixture_moments(y, t, [(0, 0), (2, 0)])
-        return y * jz / j0
+        return _mean_from(y, *_mixture_moments(y, t, _MOMENT_POWERS[:2]))
 
     return _elementwise(formula, y, tau)
 
@@ -558,12 +616,7 @@ def posterior_variance(y, tau) -> "float | np.ndarray":
     so the subtraction keeps full precision at tiny tau and at large |y|.
     """
     def formula(y, t):
-        j0, jz, jz2, jw, jw2 = _mixture_moments(y, t, [(0, 0), (2, 0), (4, 0), (0, 1), (0, 2)])
-        ez = jz / j0
-        low = ez < 0.5
-        m1 = np.where(low, ez, jw / j0)
-        m2 = np.where(low, jz2, jw2) / j0
-        return y * y * (m2 - m1 * m1) + ez
+        return _variance_from(y, *_mixture_moments(y, t, _MOMENT_POWERS))
 
     return _elementwise(formula, y, tau)
 

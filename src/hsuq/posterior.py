@@ -16,7 +16,8 @@ u_j^2 with the row's normalized quadrature weight W_ij, on the one layout
 of the kernels (``kernels._layout``). Their cdfs differ by at most 6.0e-5,
 next to theta = 0 where the z nodes resolve the prior's log singularity
 only to their spacing, and by at most 8.4e-8 for |t| >= 0.05 (tested):
-far below Monte Carlo error. Only the theta law is built on first use; no
+far below Monte Carlo error. The theta law, the moments (one pass for
+means and variances) and the sampler's z layout are built on first use; no
 batch holds a node matrix, since each sampler block builds its own rows'
 node law where it draws (``_node_law``).
 
@@ -33,14 +34,14 @@ from .kernels import (
     GlobalScale,
     _as_obs,
     _check_level,
+    _check_range,
     _damp,
     _layout,
     _log_prior,
     _panel_interp,
+    _posterior_moments,
     _tau_value,
     _theta_panels,
-    posterior_mean,
-    posterior_variance,
 )
 
 __all__ = ["PosteriorBatch"]
@@ -72,21 +73,29 @@ class PosteriorBatch:
     def __init__(self, Y, tau):
         self.Y = np.ascontiguousarray(_as_obs(Y, 1))
         self.tau = GlobalScale(_tau_value(tau))
-        # the sampler's z nodes, the kernels' own; the layout checks y^2 and tau^2
-        # are in float range
-        self._u, self._w = _layout(self.tau.tau, float(np.max(np.abs(self.Y))))
+        # the range of the sampler's z layout, checked here, built on first draw
+        _check_range(self.tau.tau, float(np.max(np.abs(self.Y))))
 
     @property
     def n(self):
         return self.Y.size
 
     @cached_property
-    def means(self):
-        return posterior_mean(self.Y, self.tau.tau)
+    def _z_layout(self):
+        """The sampler's z nodes and weights ``(u, w)``: the kernels' own layout."""
+        return _layout(self.tau.tau, float(np.max(np.abs(self.Y))))
 
     @cached_property
+    def _moments(self):
+        return _posterior_moments(self.Y, self.tau.tau)
+
+    @property
+    def means(self):
+        return self._moments[0]
+
+    @property
     def variances(self):
-        return posterior_variance(self.Y, self.tau.tau)
+        return self._moments[1]
 
     @cached_property
     def _law(self):
@@ -188,9 +197,13 @@ class PosteriorBatch:
             scale[blk] = c + np.log(total)
             np.cumsum(mc / total[:, None], axis=1, out=C[blk, 1:])
             np.cumsum(mu / total[:, None], axis=1, out=U[blk, 1:])
-        return dict(edges=edges, nodes=nodes, core_lp=core_lp, xh=_UNIT_X, keys=keys,
-                    unit_lp=unit_lp, start=start, U=U, C=C, scale=scale,
-                    mass=U[:, -1] + C[:, -1])
+        # per panel, the kc core panels and then one unit panel per key: left
+        # edge, half width, nodes and log p(theta) at the nodes
+        return dict(edges=edges, keys=keys, start=start, U=U, C=C, scale=scale,
+                    mass=U[:, -1] + C[:, -1], left=np.concatenate([edges[:-1], keys]),
+                    half=np.concatenate([0.5 * np.diff(edges), np.full(keys.size, 0.5)]),
+                    nodes=np.concatenate([nodes, keys[:, None] + _UNIT_X]),
+                    lp=np.concatenate([core_lp, unit_lp]))
 
     def _evaluate(self, rows, t, clip=False):
         """(F, f, f') stacked, of the listed rows at points t (rows x points).
@@ -207,6 +220,7 @@ class PosteriorBatch:
         """
         L = self._law
         edges = L["edges"]
+        kc = edges.size - 1
         shape = (3,) + t.shape
         r = np.repeat(rows, t.shape[1])
         t = t.ravel()
@@ -214,8 +228,7 @@ class PosteriorBatch:
         core = (k == -1.0) | (k == 0.0)
         j = k - L["start"][r]
         unit = ~core & (j >= 0.0) & (j < _WINDOW)
-        p = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
-        kc = edges.size - 1
+        p = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, kc - 1)
         ju = np.clip(j, 0, _WINDOW).astype(np.intp)
         F = L["U"][r, ju]
         below = np.where(core, L["C"][r, p], np.where(k >= 1.0, L["C"][r, kc], 0.0))
@@ -223,15 +236,14 @@ class PosteriorBatch:
         if clip:  # the mass at the panel's right edge: one more core or unit panel
             F_hi = L["U"][r, ju + unit]
             F_hi += np.where(core, L["C"][r, np.minimum(p + 1, kc)], below)
-        q = np.searchsorted(L["keys"], np.where(unit, k, L["keys"][0]))
-        in_core = core[:, None]
-        nodes = np.where(in_core, L["nodes"][p], k[:, None] + L["xh"])
-        e = np.where(in_core, L["core_lp"][p], L["unit_lp"][q])
-        half = np.where(core, 0.5 * (edges[p + 1] - edges[p]), 0.5)
+        # the panel of t: core panel p, or the unit panel of the key k
+        pan = np.where(core, p, kc + np.searchsorted(L["keys"], np.where(unit, k, L["keys"][0])))
+        e = L["lp"][pan]
+        half = L["half"][pan]
         # points outside the row's panels, up to +-inf, get f = 0 at s = -1
         with np.errstate(over="ignore", invalid="ignore"):
-            e -= 0.5 * np.square(self.Y[r][:, None] - nodes)
-            s = (t - np.where(core, edges[p], k)) / half - 1.0
+            e -= 0.5 * np.square(self.Y[r][:, None] - L["nodes"][pan])
+            s = (t - L["left"][pan]) / half - 1.0
         e -= L["scale"][r][:, None]
         outside = ~(core | unit)
         e[outside] = -np.inf
@@ -353,7 +365,7 @@ class PosteriorBatch:
         if _streams is None:
             _streams = rng.spawn(len(blocks))
         for args in zip(blocks, _streams, _blocks(out)):
-            _draw_block(self._u, self._w, *args)
+            _draw_block(*self._z_layout, *args)
         return out.T
 
     def draw_matrix(self, draws, rng, rows=slice(None), *, _streams=None):

@@ -315,6 +315,28 @@ def z_reference(batch, splits=4):
     return u, W
 
 
+def legendre_panel_interp(f, s):
+    """(3, m): integral from -1 to s, value and slope at s of the degree-15
+    polynomial through each row of node values f (m, 16), built degree by
+    degree: the coefficients c = f T' from the Gauss rule, then P_k, its
+    integrals (P_{k+1} - P_{k-1}) / (2k + 1) and its slopes
+    P'_{k+1} = P'_{k-1} + (2k + 1) P_k by recurrence."""
+    from hsuq.kernels import _GAUSS_ORDER as n, _TO_LEGENDRE
+
+    c = f @ _TO_LEGENDRE.T
+    P = np.empty((n + 1,) + s.shape)
+    D = np.zeros((n,) + s.shape)
+    P[0], P[1], D[1] = 1.0, s, 1.0
+    for k in range(1, n):
+        P[k + 1] = ((2 * k + 1) * s * P[k] - k * P[k - 1]) / (k + 1)
+        if k < n - 1:
+            D[k + 1] = D[k - 1] + (2 * k + 1) * P[k]
+    A = np.empty((n,) + s.shape)
+    A[0] = s + 1.0
+    A[1:] = (P[2:] - P[:-2]) / (2.0 * np.arange(1, n) + 1.0)[:, None]
+    return np.stack([np.einsum("mk,km->m", c, B) for B in (A, P[:n], D)])
+
+
 def direct_theta_law(Y, tau):
     """The theta law of ``PosteriorBatch._law`` with one exp per node: ``(U, C, scale)``.
 
@@ -472,7 +494,8 @@ def whole_block_draws(batch, draws, seed, rows):
     and shuffled per row, then its normal draws in one call."""
     from hsuq.posterior import _STREAM, _node_law
 
-    W, z = _node_law(batch.Y[rows], batch._u, batch._w), batch._u * batch._u
+    u, w = batch._z_layout
+    W, z = _node_law(batch.Y[rows], u, w), u * u
     starts = range(0, len(W), _STREAM)
     weights, noise = [], []
     for lo, child in zip(starts, np.random.default_rng(seed).spawn(len(starts))):

@@ -62,6 +62,18 @@ class TestCredibleBallType:
         assert ball.contains(np.full(4, 0.49))
         assert not ball.contains(np.full(4, 0.51))
 
+    def test_contains_rejects_a_point_of_another_shape(self):
+        # a scalar or a short point would broadcast against the centre
+        ball = CredibleBall(
+            center=np.zeros(5), radius=1.0, alpha=0.05, blowup_L=1.0,
+            mc_draws=1000, mc_se=0.01,
+        )
+        for point, shape in (([0.1], r"\(1,\)"), (0.1, r"\(\)"), (np.zeros((1, 5)), r"\(1, 5\)")):
+            with pytest.raises(ValueError, match=rf"point of shape {shape} does not match "
+                                                 r"the centre's shape \(5,\)"):
+                ball.contains(point)
+        assert ball.contains(np.full(5, 0.1))
+
     def test_rejects_zero_radius(self):
         # NaN fails too, and so does an empty center
         for center, radius in ((np.zeros(3), 0.0), (np.zeros(3), math.nan), (np.zeros(0), 0.0)):
@@ -347,10 +359,10 @@ class TestCredibleBallOp:
         Y = np.random.default_rng(16).standard_normal(80)
         want = ball_radius(Y, 0.1, 0.05, 1200, np.random.default_rng(4))
         calls = []
-        for mod in (hsuq.credible, hsuq.posterior):
-            real = mod.posterior_mean
-            monkeypatch.setattr(mod, "posterior_mean",
-                                lambda y, t, real=real: calls.append(1) or real(y, t))
+        # the ball's own mean, and a batch's moment pass
+        for mod, name in ((hsuq.credible, "posterior_mean"), (hsuq.posterior, "_posterior_moments")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda y, t, real=real: calls.append(1) or real(y, t))
         ball = credible_ball(Y, 0.1, 0.05, 1.0, 1200, np.random.default_rng(4))
         assert len(calls) == 1
         assert (ball.radius, ball.mc_se) == want

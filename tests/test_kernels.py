@@ -37,6 +37,7 @@ from hsuq.posterior import PosteriorBatch
 
 from _oracles import (
     kappa_bisect,
+    legendre_panel_interp,
     midpoint_Ik,
     mp_H,
     mp_posterior_variance,
@@ -453,6 +454,63 @@ class TestExpansionHk:
         assert_allclose(expansion_Hk(0.0, 1.5), 1.0 / 1.5, rtol=1e-14)
         with pytest.raises(ValueError):
             expansion_Hk(0.0, -0.5)
+
+
+class TestPanelInterp:
+    # the panel ends, the floats next to them, and 1,000 interior points
+    S = np.r_[-1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), 1.0,
+              np.random.default_rng(5).uniform(-1.0, 1.0, 1000)]
+
+    @staticmethod
+    def smooth(rng, m, spread=3.0):
+        """m rows of positive node values exp(a x + b x^2) of smooth shapes."""
+        a, b = rng.normal(0.0, spread, (2, m, 1))
+        return np.exp(a * kernels._REF_X + b * kernels._REF_X ** 2)
+
+    def test_matches_the_recurrence(self):
+        # the old form built the Legendre values, integrals and slopes degree
+        # by degree; both round differently but agree to 1e-13 of the node
+        # values. For rough node values the slope, up to 15^2 max|f| by
+        # Markov's inequality, is pinned to 1e-13 of that scale
+        rng = np.random.default_rng(9)
+        m = self.S.size
+        for f, slope_scale in ((self.smooth(rng, m), 1.0), (rng.uniform(-1.0, 1.0, (m, 16)), 225.0)):
+            dev = np.abs(kernels._panel_interp(f, self.S) - legendre_panel_interp(f, self.S))
+            dev /= np.abs(f).max(axis=1)
+            assert dev[:2].max() <= 1e-13
+            assert dev[2].max() <= 1e-13 * slope_scale
+
+    def test_integral_starts_at_zero(self):
+        # exactly 0 at a panel's left edge, and not negative just right of it
+        # where the polynomial is positive at -1 (a steep shape's can dip
+        # below 0 there: one spread 3 row has p(-1) = -563, max f 7.9e5)
+        rng = np.random.default_rng(10)
+        f = np.vstack([self.smooth(rng, 200, spread=1.5), np.zeros((1, 16)), np.ones((1, 16))])
+        at = kernels._panel_interp(f, np.full(len(f), -1.0))[0]
+        assert np.all(at == 0.0)
+        right = kernels._panel_interp(f, np.full(len(f), np.nextafter(-1.0, 0.0)))[0]
+        assert np.all(right >= 0.0) and np.all(right[:-2] > 0.0)
+
+    def test_each_row_is_its_own_product(self):
+        # a row's result does not depend on the rows computed with it
+        rng = np.random.default_rng(11)
+        f, s = rng.uniform(-1.0, 1.0, (300, 16)), rng.uniform(-1.0, 1.0, 300)
+        whole = kernels._panel_interp(f, s)
+        for i in (0, 1, 150, 299):
+            assert np.array_equal(kernels._panel_interp(f[i:i + 1], s[i:i + 1])[:, 0], whole[:, i])
+
+    def test_matrix_is_exact_legendre_algebra(self):
+        # each Q_k (s + 1) and P'_k, from the matrix, against numpy's legint and legder
+        leg = np.polynomial.legendre
+        s = np.linspace(-1.0, 1.0, 7)
+        weights = (leg.legvander(s, 15) @ kernels._INTERP).reshape(7, 3, 16)
+        for k in range(16):
+            e = np.eye(16)[k]
+            node = leg.legvander(kernels._REF_X, 15)[:, k]  # P_k at the nodes
+            q, val, slope = (weights @ node).T
+            assert_allclose((s + 1.0) * q, leg.legval(s, leg.legint(e, lbnd=-1.0)), atol=1e-13)
+            assert_allclose(val, leg.legval(s, e), atol=1e-13)
+            assert_allclose(slope, leg.legval(s, leg.legder(e)), atol=1e-11)
 
 
 class TestThetaPrior:

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
+from hsuq import kernels
 from hsuq.credible import covers, interval_batch
+from hsuq.experiments import NormalAround, ScenarioConfig, generate
 from hsuq.kernels import marginal_density, posterior_mean, posterior_variance
 from hsuq.posterior import _BLOCK, _STREAM, _SUB_BLOCK, PosteriorBatch, _node_law
 from hsuq.tau import mmle
@@ -28,6 +30,15 @@ REGIME_GRID = [
 ]
 
 
+def eb_study_data(seed):
+    """(Y, tau) of one benchmark eb_study replication: n = 400, 20 signals
+    around twice the universal threshold, tau the MMLE."""
+    signal = NormalAround(2.0 * math.sqrt(2.0 * math.log(400)), 1.0)
+    cfg = ScenarioConfig(n=400, p=20, signal=signal, reps=1, seed=seed, methods=("eb-mmle",))
+    Y = generate(cfg, 0)[0]
+    return Y, mmle(Y).tau
+
+
 def one(y, tau):
     """The posterior of a single coordinate: a one-row batch."""
     return PosteriorBatch([y], tau)
@@ -41,9 +52,14 @@ def draws1(post, size, rng):
     return post.draw_matrix(size, rng)[:, 0]
 
 
+def z_nodes(post):
+    """The z node values u_j^2 of a batch's sampler layout."""
+    return post._z_layout[0] ** 2
+
+
 def node_law(post):
     """The (n, nodes) z node law of a batch's rows, built for a test."""
-    return _node_law(post.Y, post._u, post._w)
+    return _node_law(post.Y, *post._z_layout)
 
 
 class TestShrinkWeightLaw:
@@ -53,7 +69,7 @@ class TestShrinkWeightLaw:
         for y, tau in REGIME_GRID + [(0.0, 1.0), (30.0, 0.01)]:
             post = one(y, tau)
             W = node_law(post)[0]
-            z = post._u ** 2
+            z = z_nodes(post)
             ez = float(W @ z)
             m1 = float(W @ (1.0 - z))
             m2 = float(W @ (1.0 - z) ** 2)
@@ -62,7 +78,7 @@ class TestShrinkWeightLaw:
 
     def test_sample_mean_matches_nodes(self):
         post = one(2.0, 0.1)
-        expect = float(node_law(post)[0] @ post._u ** 2)
+        expect = float(node_law(post)[0] @ z_nodes(post))
         draws = post.draw_weights(400_000, np.random.default_rng(11))[:, 0]
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expect) < 4 * se
@@ -71,13 +87,13 @@ class TestShrinkWeightLaw:
         # the sampler draws the node law itself: each z is some u_j^2 with W_j > 0
         post = one(2.0, 0.1)
         z = post.draw_weights(100_000, np.random.default_rng(7))[:, 0]
-        assert np.all(np.isin(z, (post._u ** 2)[node_law(post)[0] > 0.0]))
+        assert np.all(np.isin(z, z_nodes(post)[node_law(post)[0] > 0.0]))
 
     def test_draws_follow_node_cdf(self):
         # a panel law between the nodes would miss by half a node weight (~1%)
         post = one(0.3, 0.4)
         z = post.draw_weights(400_000, np.random.default_rng(13))[:, 0]
-        nodes, cum = post._u ** 2, np.cumsum(node_law(post)[0])
+        nodes, cum = z_nodes(post), np.cumsum(node_law(post)[0])
         for k in np.searchsorted(cum, [0.1, 0.5, 0.9]):
             se = math.sqrt(cum[k] * (1.0 - cum[k]) / z.size)
             assert abs(np.mean(z <= nodes[k]) - cum[k]) < 4 * se
@@ -183,7 +199,7 @@ class TestRandDraw:
         n = th.size
         # sample skewness of a symmetric law: n Var(g1) ~ mu6/mu2^3 - 6 mu4/mu2^2 + 9,
         # with mu2 = E z, mu4 = 3 E z^2 and mu6 = 15 E z^3 under the node law
-        W, z = node_law(post)[0], post._u ** 2
+        W, z = node_law(post)[0], z_nodes(post)
         ez, ez2, ez3 = (float(W @ z**k) for k in (1, 2, 3))
         sd = math.sqrt((15.0 * ez3 / ez**3 - 18.0 * ez2 / ez**2 + 9.0) / n)
         c = th - th.mean()
@@ -273,7 +289,7 @@ class TestPosteriorBatch:
 
     def test_mixture_mean_consistency(self):
         # The discretized weight law must reproduce the analytic mean.
-        z = self.batch._u ** 2
+        z = z_nodes(self.batch)
         mix = (node_law(self.batch) * z[None, :]).sum(axis=1) * self.Y
         assert np.max(np.abs(mix - self.batch.means)) < 1e-6
 
@@ -324,8 +340,9 @@ class TestPosteriorBatch:
         # 8 * getbufsize() bytes, which at 256 nodes is not inside 25% of W
         batch = PosteriorBatch(np.random.default_rng(12).standard_normal(5000), 0.01)
         y = batch.Y[:_STREAM]
-        W, peak = traced_peak(_node_law, y, batch._u, batch._w)
-        assert W.shape == (_STREAM, len(batch._u))
+        u, w = batch._z_layout
+        W, peak = traced_peak(_node_law, y, u, w)
+        assert W.shape == (_STREAM, len(u))
         assert peak <= 1.25 * W.nbytes + 8 * np.getbufsize()
 
     def test_draws_hold_one_output_matrix(self):
@@ -443,7 +460,7 @@ class TestThetaLaw:
         for y, tau in REGIME_GRID + [(y, 0.9) for y, _ in REGIME_GRID]:
             t = np.concatenate([-near, near, np.linspace(min(y, 0.0) - 6, max(y, 0.0) + 6, 2401)])
             post = one(y, tau)
-            u, W = post._u, node_law(post)[0]
+            u, W = post._z_layout[0], node_law(post)[0]
             F = post._evaluate(np.zeros(1, dtype=int), t[None, :])[0, 0]
             gap = np.abs(F - ndtr((t[:, None] - y * u * u) / u) @ W)
             worst = max(worst, gap.max())
@@ -452,15 +469,17 @@ class TestThetaLaw:
         assert worst_away <= 5e-7
 
     def test_each_discretisation_is_built_on_first_use(self):
-        # the theta law is cached on first use; the z node law never is,
-        # so a batch that only draws holds its nodes alone
+        # the theta law and the moments are cached on first use and the z
+        # layout on first draw; the z node law never is, so a batch that only
+        # draws holds its nodes alone, and one that only solves holds none
         Y = np.linspace(-3.0, 3.0, 50)
+        assert set(vars(PosteriorBatch(Y, 0.1))) == {"Y", "tau"}
         solved = PosteriorBatch(Y, 0.1)
         solved.radius_batch(0.05), solved.quantile_rows(0.5), solved.cdf_rows(0.0)
-        assert "_law" in vars(solved) and "_W" not in vars(solved)
+        assert set(vars(solved)) == {"Y", "tau", "_law", "_moments", "diagnostics"}
         drawn = PosteriorBatch(Y, 0.1)
         drawn.draw_matrix(100, np.random.default_rng(0))
-        assert set(vars(drawn)) == {"Y", "tau", "_u", "_w"}
+        assert set(vars(drawn)) == {"Y", "tau", "_z_layout"}
 
     def test_work_per_row_does_not_grow_with_the_spread_of_y(self):
         # a row holds the core panels and the unit panels within 10 of its
@@ -710,3 +729,94 @@ class TestPilotStage:
             assert d["capped"] == d["at_resolution"] == 0
             assert d["max_residual"] == np.max(np.abs(batch.cdf_rows(q) - p))
             assert_allclose(q, [one(y, tau).quantile_rows(p)[0] for y in batch.Y], atol=1e-7)
+
+
+class TestBatchMoments:
+    """Means and variances come from one five-power moment pass."""
+
+    def test_radius_batch_makes_one_moment_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return moments(*args, **kwargs)
+
+        moments = kernels._mixture_moments
+        monkeypatch.setattr(kernels, "_mixture_moments", counted)
+        batch = PosteriorBatch(np.linspace(-5.0, 5.0, 40), 0.05)
+        batch.radius_batch(0.05)
+        batch.quantile_rows(0.5)
+        assert calls == [kernels._MOMENT_POWERS]
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_match_the_public_moments_on_eb_study_data(self, seed):
+        Y, tau = eb_study_data(seed)
+        batch = PosteriorBatch(Y, tau)
+        assert batch.means.tobytes() == posterior_mean(Y, tau).tobytes()
+        assert batch.variances.tobytes() == posterior_variance(Y, tau).tobytes()
+
+    def test_match_the_public_moments_on_the_regime_grid(self):
+        for y, tau in REGIME_GRID:
+            post = one(y, tau)
+            assert post.means[0].hex() == posterior_mean(y, tau).hex()
+            assert post.variances[0].hex() == posterior_variance(y, tau).hex()
+
+
+class TestBatchIndependence:
+    def test_one_row_batch_matches_its_row(self):
+        # the cdf of a row is the same float alone or among 400 rows; its
+        # radius solves the same equation from another start, so it agrees
+        # to the solver's tolerance
+        Y, tau = eb_study_data(1)
+        whole = PosteriorBatch(Y, tau)
+        t = whole.means + 0.3
+        cdf = whole.cdf_rows(t)
+        r = whole.radius_batch(0.05)
+        for i in (0, 3, 19, 20, 200, 399):
+            row = PosteriorBatch(Y[i:i + 1], tau)
+            assert row.cdf_rows(t[i:i + 1])[0] == cdf[i]
+            assert abs(row.radius_batch(0.05)[0] - r[i]) < 1e-8
+
+
+class TestConstructionChecks:
+    """A batch checks the range of its z layout when built, not on first draw."""
+
+    def test_rejects_a_square_that_overflows(self):
+        with pytest.raises(ValueError, match=r"^\|y\| = 1e\+155 is out of range: its square overflows$"):
+            PosteriorBatch([0.5, -1e155], 0.1)
+
+    def test_rejects_a_tau_whose_square_underflows(self):
+        with pytest.raises(ValueError, match=r"^tau = 1e-160 is out of range: its square underflows$"):
+            PosteriorBatch([0.0, 3.0], 1e-160)
+
+    def test_layout_waits_for_the_first_draw(self):
+        batch = PosteriorBatch([0.0, 3.0], 0.1)
+        assert "_z_layout" not in vars(batch)
+        batch.draw_weights(10, np.random.default_rng(0))
+        assert "_z_layout" in vars(batch)
+
+    def test_first_draws_racing_on_threads_match_serial_draws(self):
+        # ball_radius makes a batch's first draws on its worker threads, so
+        # they may build the layout at once: 8 threads on 2 CPUs, switching
+        # often, must draw what one thread draws
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        Y = np.random.default_rng(4).standard_normal(8 * _STREAM)
+        want = PosteriorBatch(Y, 0.05).draw_weights(200, np.random.default_rng(5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                batch = PosteriorBatch(Y, 0.05)
+                streams = np.random.default_rng(5).spawn(8)
+
+                def block(b):
+                    rows = slice(b * _STREAM, (b + 1) * _STREAM)
+                    return batch.draw_weights(200, None, rows, _streams=streams[b:b + 1])
+
+                with ThreadPoolExecutor(8) as pool:
+                    got = np.hstack(list(pool.map(block, range(8), timeout=60)))
+                assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)

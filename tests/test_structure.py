@@ -105,7 +105,7 @@ def test_sampler_draws_on_the_kernels_layout():
     for tau in (0.01, 0.5, 1.0):
         batch = PosteriorBatch(Y, tau)
         u, w = _layout(tau, float(np.max(np.abs(Y))))
-        assert np.array_equal(batch._u, u) and np.array_equal(batch._w, w)
+        assert all(map(np.array_equal, batch._z_layout, (u, w)))
 
 
 def test_posterior_batch_has_one_sampler():
