@@ -29,7 +29,6 @@ from .hierarchical import (
 from .kernels import (
     GlobalScale,
     KernelOrder,
-    QuadratureError,
     SparsityRate,
     integral_Ik,
     log_integral_Ik,
@@ -59,7 +58,6 @@ __all__ = [
     "HyperPrior",
     "KernelOrder",
     "PosteriorBatch",
-    "QuadratureError",
     "RegionLabel",
     "ScenarioConfig",
     "SparsityRate",

@@ -26,6 +26,7 @@ from scipy.special import ndtri
 from .credible import (
     CredibleBall,
     RegionLabel,
+    _check_draws,
     _intervals,
     ball_radius,
     classify_regions_adaptive,
@@ -223,8 +224,11 @@ class ScenarioConfig:
                 raise ValueError(f"hb_burn_in must be >= 0, got {self.hb_burn_in}")
             if self.hb_iters < 100:
                 raise ValueError(f"hb_iters (kept draws) must be >= 100, got {self.hb_iters}")
-        if self.ball and self.ball_draws < 1000 and not set(self.methods) <= HB_METHODS.keys():
-            raise ValueError(f"ball_draws must be >= 1000 for an EB ball, got {self.ball_draws}")
+        if self.ball and not set(self.methods) <= HB_METHODS.keys():
+            try:
+                _check_draws(self.ball_draws)
+            except ValueError as exc:
+                raise ValueError(f"ball_draws: {exc}") from None
         if not isinstance(self.signal, (FixedValue, NormalAround, ThreeGroup,
                                         FromDistribution)):
             raise ValueError(f"unrecognized signal spec {self.signal!r}")

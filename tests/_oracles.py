@@ -181,6 +181,47 @@ def mp_H(y, k, dps=30):
         return float(x ** -k * mp.quad(lambda v: v ** (k - 1) * mp.exp(v), [c, x]))
 
 
+def mp_kernel_integrals(tau, ys, dps=30):
+    """I_k(y) for every y of ``ys`` and every order, in mpmath: ``{y: [I_k]}``.
+
+    The integral 2 int_0^1 u^(2k+1) exp(y^2 u^2 / 2) / (tau^2 + (1 - tau^2) u^2)
+    du in u = sqrt(z), on panels with breakpoints at tau 4^j (the knee) and
+    1 - 2^-j (the layer), by mpmath's Gauss-Legendre nodes at ``dps``
+    digits. Degrees 4 and 5 (24 and 48 nodes a panel) must agree to 1e-20
+    for every value, so each is converged well past float precision.
+    """
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    orders = (-0.5, 0.5, 1.5, 2.5, 3.5)
+    with mp.workdps(dps):
+        t2 = mp.mpf(tau) ** 2
+        pts = {mp.mpf(tau) * 4**j for j in range(300) if tau * 4.0**j < 1.0}
+        pts |= {1 - mp.mpf(2) ** -j for j in range(1, 31)}
+        edges = [mp.mpf(0), *sorted(pts), mp.mpf(1)]
+        rules = []
+        for degree in (4, 5):
+            u, prior = [], []
+            for x, w in GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec):
+                for a, b in zip(edges[:-1], edges[1:]):
+                    v = (a + b) / 2 + (b - a) / 2 * x
+                    u.append(v)
+                    prior.append((b - a) * w / (t2 + (1 - t2) * v * v))
+            rules.append(([1 - v * v for v in u],
+                          [[p * v ** int(2 * k + 1) for p, v in zip(prior, u)] for k in orders]))
+        out = {}
+        for y in ys:
+            h = mp.mpf(y) ** 2 / 2
+            sums = []
+            for om, weights in rules:
+                damp = [mp.exp(-h * w) for w in om]
+                sums.append([mp.fdot(wk, damp) for wk in weights])
+            for lo, hi in zip(*sums):
+                if abs(hi - lo) > 1e-20 * hi:
+                    raise ArithmeticError(f"no convergence at tau={tau}, y={y}")
+            out[y] = [v * mp.exp(h) for v in sums[1]]
+        return out
+
+
 def grid_mmle(y, n_grid=10_000):
     """Exhaustive-grid maximizer of the marginal likelihood in tau.
 
@@ -296,21 +337,27 @@ def _bracket_edge(gap, anchor, edge, sign):
     raise ArithmeticError("bracket expansion failed")
 
 
-def z_reference(batch, splits=4):
+def z_reference(batch, halvings=4):
     """A batch's posterior as a finer z node law of its own: ``(u, W)``.
 
-    The kernels' layout for the batch's (Y, tau) halved ``splits`` times
-    (the batch's sampler uses 2, its solvers no z nodes at all), with each
-    row's weights damped and normalised. Its cdf is sum_j W_ij
-    ndtr((t - y u_j^2) / u_j). On the solver tests' batches 3, 4 and 5
-    splits give the same largest gap to the batch's roots (4.5e-8 in
-    radii, 8.4e-8 in quantiles), set by the Newton oracle's own stop at
-    |g| < 1e-9 where the density is 0.012.
+    The kernels' panel edges for the batch's (Y, tau), each panel halved
+    ``halvings`` times here (the batch's sampler uses the edges as they
+    are, its solvers no z nodes at all), with the Gauss rule mapped onto
+    them, the prior factor 2 / (tau^2 + (1 - tau^2) u^2) written out, and
+    each row's weights damped and normalised. Its cdf is
+    sum_j W_ij ndtr((t - y u_j^2) / u_j). On the solver tests' batches
+    3, 4 and 5 halvings give the same largest gap to the batch's roots
+    (4.5e-8 in radii, 8.4e-8 in quantiles), set by the Newton oracle's own
+    stop at |g| < 1e-9 where the density is 0.012.
     """
-    from hsuq.kernels import _damp, _layout
+    from hsuq.kernels import _damp, _layout, _panel_edges
 
-    u, w = _layout(batch.tau.tau, float(np.max(np.abs(batch.Y))), splits)
-    W = _damp(batch.Y * batch.Y, u) * w
+    t2 = batch.tau.tau ** 2
+    edges = _panel_edges(batch.tau.tau, float(np.max(np.abs(batch.Y))))
+    for _ in range(halvings):
+        edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    u, w = _layout(None, edges=edges)
+    W = _damp(batch.Y * batch.Y, u) * (2.0 * w / (t2 + (1.0 - t2) * u * u))
     W /= W.sum(axis=1, keepdims=True)
     return u, W
 

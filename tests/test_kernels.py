@@ -19,7 +19,6 @@ from hsuq.kernels import (
     SCORE_UPPER_BOUND,
     GlobalScale,
     KernelOrder,
-    QuadratureError,
     SparsityRate,
     expansion_Hk,
     integral_Ik,
@@ -40,6 +39,7 @@ from _oracles import (
     legendre_panel_interp,
     midpoint_Ik,
     mp_H,
+    mp_kernel_integrals,
     mp_posterior_variance,
     nested_posterior_moments,
     quad_H,
@@ -96,21 +96,35 @@ class TestKernelIntegral:
     def test_even_in_y(self):
         assert_allclose(integral_Ik(-2.5, 0.1, 0.5), integral_Ik(2.5, 0.1, 0.5), rtol=1e-13)
 
-    def test_quadrature_error_type(self):
-        err = QuadratureError("no convergence", estimate=1.25)
-        assert isinstance(err, ArithmeticError)
-        assert err.estimate == 1.25
+    @pytest.mark.parametrize("tau", [1.5e-154, 1e-12, 1e-4, 0.05, 0.5, 1.0])
+    def test_mpmath_atlas(self, tau):
+        # one pass on the one layout, against 30-digit Gauss-Legendre sums
+        # with breakpoints at the knee (tau 4^j) and in the layer (1 - 2^-j)
+        ref = mp_kernel_integrals(tau, [0.0, 0.5, 2.0, 5.0, 10.0, 20.0, 37.0, 50.0, 200.0])
+        for y, vals in ref.items():
+            for k, v in zip(KERNEL_ORDERS, vals):
+                if y <= 37.0:
+                    for sign in (1.0, -1.0):
+                        assert_allclose(integral_Ik(sign * y, tau, k), float(v), rtol=1e-12)
+                assert_allclose(log_integral_Ik(y, tau, k), float(mp.log(v)), rtol=1e-14)
 
-    def test_unconverged_refinement_raises(self, monkeypatch):
-        # every panel halving moves the moment by 1e-6, so the refine-delta
-        # estimate never reaches the 1e-11 the loop asks for
-        def drifting(y2, tau, powers, splits=0):
-            return np.array([[1.0 + 1e-6 * splits]])
+    def test_overflows_to_inf_past_the_float_range(self):
+        assert math.isfinite(integral_Ik(37.8, 0.5, -0.5))
+        with np.errstate(over="ignore"):
+            assert integral_Ik(37.9, 0.5, -0.5) == math.inf
+            assert integral_Ik(1e100, 0.5, 3.5) == math.inf
 
-        monkeypatch.setattr(kernels, "_mixture_moments", drifting)
-        with pytest.raises(QuadratureError, match=r"estimate 1\.000e-06 exceeds 1e-11$") as info:
-            integral_Ik(1.0, 0.1, -0.5)
-        assert info.value.estimate == pytest.approx(1e-6 / (1.0 + 4e-6), rel=1e-9)
+    def test_scalar_contract(self):
+        assert integral_Ik([3.0], 0.1, 0.5) == integral_Ik(3.0, 0.1, 0.5)
+        with pytest.raises(ValueError, match="too many values"):
+            integral_Ik([1.0, 2.0], 0.1, 0.5)
+        # the checks run in order: tau, then k, then y
+        with pytest.raises(ValueError, match="^tau must lie in"):
+            integral_Ik(np.nan, 2.0, 0.7)
+        with pytest.raises(ValueError, match="^kernel order must be one of"):
+            integral_Ik(np.nan, 0.1, 0.7)
+        with pytest.raises(ValueError, match="value not finite"):
+            integral_Ik(np.nan, 0.1, 0.5)
 
 
 @pytest.mark.parametrize("name", [
@@ -280,7 +294,7 @@ class TestScoreFunction:
         assert_allclose(m, 0.999216099509408, rtol=1e-9)  # frozen regression value
 
     def test_monotone_in_y(self):
-        y = np.linspace(0.0, 20.0, 201)
+        y = np.linspace(0.0, 60.0, 601)
         for tau in [1e-4, 1e-2, 0.5, 1.0]:
             m = score_m(y, tau)
             assert np.all(np.diff(m) >= -1e-10)

@@ -4,9 +4,9 @@ theta panels too: posterior.py names neither ndtr nor the rule), each
 replication-harness decision is made in one place, each argument rule is
 stated once, verify_theory alone parses, times and judges the theory checks,
 the credible ball and the HB marginal intervals have one construction each,
-the universal threshold has one formula, the sampler draws on the kernels'
-one z layout, and scipy.optimize and scipy.integrate load only with the
-calls that use them."""
+the universal threshold has one formula, the sampler and integral_Ik draw
+on the kernels' one z layout, and scipy.optimize and scipy.integrate load
+only with the calls that use them."""
 
 import ast
 import dataclasses
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import hsuq
-from hsuq import experiments
+from hsuq import experiments, kernels
 from hsuq.credible import CredibleBall, credible_ball
 from hsuq.hierarchical import hb_marginal_intervals
 from hsuq.kernels import _layout
@@ -32,7 +32,7 @@ RULE_TEXTS = ("tau must lie in", "kernel order must be one of",
               "blow-up factor must be positive", "alpha must be in (0, 1)",
               "kS and f must be positive", "sqrt(2.0 * math.log(1.0 /",
               "value not finite", "need A > 1", "A * math.sqrt(2.0 * math.log(n / q))",
-              "its square overflows", "need 1 <= p <= n")
+              "its square overflows", "need 1 <= p <= n", "at least 1000 draws")
 # the moment-radius ball and the fourth-moment kernel behind it
 BALL_FORK_NAMES = ("ball_radius_approx", "posterior_fourth_central", "_weight_moments")
 
@@ -95,6 +95,25 @@ def test_posterior_solvers_use_no_z_evaluator_or_gauss_rule():
 
 def test_posterior_batch_takes_no_layout_argument():
     assert "splits" not in inspect.signature(PosteriorBatch).parameters
+
+
+def test_kernels_have_one_z_rule():
+    # no halving argument: every kernel, integral_Ik too, runs on the one layout
+    for f in (kernels._layout, kernels._mixture_moments):
+        assert "splits" not in inspect.signature(f).parameters
+
+
+def test_integral_ik_makes_one_moment_pass(monkeypatch):
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return moments(*args)
+
+    moments = kernels._mixture_moments
+    monkeypatch.setattr(kernels, "_mixture_moments", counted)
+    kernels.integral_Ik(3.0, 0.1, 0.5)
+    assert len(passes) == 1
 
 
 def test_sampler_draws_on_the_kernels_layout():
