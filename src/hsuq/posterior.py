@@ -11,15 +11,17 @@ z^(-1/2) (tau^2 + (1 - tau^2) z)^(-1) exp(y^2 z / 2).
 One posterior law, two discretisations. The solvers (``cdf_rows``,
 ``quantile_rows``, ``radius_batch``) integrate the theta density on panels
 graded into theta = 0 (``kernels._theta_panels``) plus unit panels near
-each row's y. The sampler draws the z node law: each z is the node value
-u_j^2 with the row's normalized quadrature weight W_ij, on the one layout
-of the kernels (``kernels._layout``). Their cdfs differ by at most 6.0e-5,
-next to theta = 0 where the z nodes resolve the prior's log singularity
-only to their spacing, and by at most 8.4e-8 for |t| >= 0.05 (tested):
-far below Monte Carlo error. The theta law, the moments (one pass for
-means and variances) and the sampler's z layout are built on first use; no
-batch holds a node matrix, since each sampler block builds its own rows'
-node law where it draws (``_node_law``).
+each row's y; a row holds 53 doubles at any tau, since on the deep core
+panels it keeps 18 scaled powers of y against moments all rows share
+(``PosteriorBatch._law``). The sampler draws the z node law: each z is the
+node value u_j^2 with the row's normalized quadrature weight W_ij, on the
+one layout of the kernels (``kernels._layout``). Their cdfs differ by at
+most 6.0e-5, next to theta = 0 where the z nodes resolve the prior's log
+singularity only to their spacing, and by at most 8.4e-8 for |t| >= 0.05
+(tested): far below Monte Carlo error. The theta law, the moments (one
+pass for means and variances) and the sampler's z layout are built on
+first use; no batch holds a node matrix, since each sampler block builds
+its own rows' node law where it draws (``_node_law``).
 
 `PosteriorBatch` is the one posterior type; a single coordinate is a
 one-row batch, `PosteriorBatch([y], tau)`.
@@ -56,9 +58,10 @@ _WINDOW = 21
 _UNIT_X, _UNIT_W = _layout(None, edges=np.array([0.0, 1.0]))
 _UNIT_OFFSET = 10.0 - np.arange(_WINDOW)
 _UNIT_TABLE = _UNIT_W * np.exp(-0.5 * np.square(_UNIT_OFFSET[:, None] - _UNIT_X))
-# core panels within _DEEP of 0 take exp(y theta) as _SERIES terms of its series
-_DEEP = 2.0**-8
-_SERIES = 10
+# core panels within _DEEP of 0 take exp(y theta) as _SERIES terms of a series
+_DEEP = 2.0**-4
+_SERIES = 18
+_FACTORIAL = np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES)])
 # above 2^52 neither the keys floor(y) - 10 + i nor the nodes k + x_h are distinct
 _Y_LIMIT = 2.0**52
 
@@ -114,25 +117,32 @@ class PosteriorBatch:
         Masses are Gauss sums of p(theta_j) exp(-(y - theta_j)^2 / 2 - c), with
         c within a few units of the row's largest log term, so nothing over-
         or underflows; the row's log scale is c + log(sum), so the masses
-        are normalised. p(theta_j) is shared by all rows, and a row spends
-        about 290 exp, not one per node:
+        are normalised. p(theta_j) is shared by all rows; a row spends about
+        170 exp, not one per node, and keeps 53 doubles at any tau:
 
-        - Unit panels: with f = y - floor(y) and g_i = 10 - i, the node
-          theta = k_i + x_h has y - theta = g_i + f - x_h, so
-          exp(-(y - theta)^2 / 2) = exp(-(g_i - x_h)^2 / 2)
-          exp(-f g_i - f^2 / 2) exp(f x_h). The first factor times the Gauss
-          weights is the constant _UNIT_TABLE, p(k + x_h) is held per key
-          against the panel's largest, and a row takes 16 + _WINDOW exp.
-        - Core panels within _DEEP = 2^-8 of 0: exp(-(y - theta)^2 / 2) =
-          exp(-y^2 / 2) exp(-theta^2 / 2) sum_t (y theta)^t / t!, with the
-          shared moments M[t, p] = sum_j w_j p(theta_j) exp(-theta_j^2 / 2)
-          theta_j^t / t! for t < _SERIES = 10. For |y| <= 10, |y theta| <=
-          0.04 and the series' relative remainder is below 2.3e-21; beyond,
-          these panels' remainder times their share of the row's mass stays
-          below 1e-16 for every tau the package accepts. Where
-          exp(-y^2 / 2 - c) underflows the series is summed at y = 0, so no
-          0 * inf appears.
-        - The other 16 core panels take one exp per node.
+        - Unit panels (``U``: the masses at the window's edges): with
+          f = y - floor(y) and g_i = 10 - i, the node theta = k_i + x_h has
+          y - theta = g_i + f - x_h, so exp(-(y - theta)^2 / 2) =
+          exp(-(g_i - x_h)^2 / 2) exp(-f g_i - f^2 / 2) exp(f x_h). The first
+          factor times the Gauss weights is the constant _UNIT_TABLE,
+          p(k + x_h) is held per key against the panel's largest, and a row
+          takes 16 + _WINDOW exp.
+        - The 4 shallow core panels a side, beyond _DEEP = 2^-4 (``E``: the
+          masses at their edges, the deep block's total between the two
+          sides), take one exp per node.
+        - Deep core panels: with e = -_DEEP sign(y) (-_DEEP at y = 0),
+          exp(-(y - theta)^2 / 2) = exp(-y^2 / 2 - |y| _DEEP - theta^2 / 2)
+          sum_t (y (theta - e))^t / t!, every term >= 0. Per sign of y all
+          rows share Mcum[q, t], the sum over the first q deep panels of
+          w_j p(theta_j) exp(-theta_j^2 / 2) (theta_j - e)^t / t! for
+          t < _SERIES = 18, and a row keeps S_t = s y^t / total (y^17 is
+          finite for |y| <= 2^52), so a deep edge's mass is the mass at
+          -_DEEP plus S . Mcum[q] (``_core_mass``), nondecreasing in q term
+          by term. The series argument is at most 2 |y| _DEEP: for |y| <= 8
+          the relative remainder is below 1 / 18! = 1.6e-16, and the masses
+          are within 1.5e-15 of one exp per node for tau >= 1e-20 (8e-14 at
+          tau = 1.5e-154, where the prior's spike holds the mass up to
+          |y| = 26.6; measured).
 
         |y| above 2^52 raises ValueError: there neither the keys nor the
         nodes k + x_h are distinct. Below it accuracy is set by ulp(y), the
@@ -147,60 +157,73 @@ class PosteriorBatch:
         tau = self.tau.tau
         edges, nodes, wt = _theta_panels(tau)
         start = np.floor(self.Y) - 10.0
-        keys = np.unique(start[:, None] + np.arange(_WINDOW))
-        keys = keys[(keys < -1.0) | (keys > 0.0)]
-        core_lp = _log_prior(nodes, tau)
+        keys = np.unique(np.unique(start)[:, None] + np.arange(_WINDOW))
+        n, kc = self.n, len(wt)
+        core_lp = _log_prior(nodes[kc // 2:], tau)  # p is even, and so are the core nodes
+        core_lp = np.concatenate([core_lp[::-1, ::-1], core_lp])
         unit_lp = _log_prior(keys[:, None] + _UNIT_X, tau)
         lref = unit_lp.max(axis=1)
         unit_p = np.exp(unit_lp - lref[:, None])
-        n, kc = self.n, len(wt)
+        lref[(keys == -1.0) | (keys == 0.0)] = -np.inf  # the core covers [-1, 1]
         ns = int(np.count_nonzero(edges < -_DEEP))  # shallow core panels on each side
         deep = slice(ns, kc - ns)
         shallow = np.r_[0:ns, kc - ns:kc]
         sh_nodes, sh_lp, sh_wt = nodes[shallow], core_lp[shallow], wt[shallow]
         th = nodes[deep]
         ref = core_lp[deep].max()
-        term = wt[deep] * np.exp(core_lp[deep] - ref - 0.5 * th * th)
-        M = np.empty((_SERIES, len(th)))
-        for t in range(_SERIES):
-            M[t] = term.sum(axis=1)
-            term *= th / (t + 1)
-        U, C, scale = np.zeros((n, _WINDOW + 1)), np.zeros((n, kc + 1)), np.empty(n)
+        # moments about -_DEEP; the half of Mcum for y < 0, about +_DEEP, is their mirror
+        P, x = np.empty((_SERIES,) + th.shape), th + _DEEP
+        P[0] = wt[deep] * np.exp(core_lp[deep] - ref - 0.5 * th * th)
+        for t in range(1, _SERIES):
+            np.multiply(P[t - 1], x, out=P[t])
+        M = np.zeros((2, len(th) + 1, _SERIES))
+        M[0, 1:] = np.einsum("tpj->pt", P) / _FACTORIAL
+        M[1, 1:] = M[0, :0:-1] * (-1.0) ** np.arange(_SERIES)
+        Mcum = np.cumsum(M, axis=1).reshape(-1, _SERIES)
+        # per core edge: the column of E below it, and its index inside the deep block (0 outside)
+        qd = np.arange(kc + 1) - ns
+        col = np.clip(qd, -ns, 0) + ns + np.maximum(qd - len(th) + 1, 0)
+        qd[(qd < 0) | (qd >= len(th))] = 0
+        E, S, U = np.zeros((n, 2 * ns + 2)), np.empty((n, _SERIES)), np.zeros((n, _WINDOW + 1))
+        scale = np.empty(n)
         for lo in range(0, n, _BUILD_BLOCK):
             blk = slice(lo, lo + _BUILD_BLOCK)
             y = self.Y[blk]
             f = y - np.floor(y)
-            k = start[blk, None] + np.arange(_WINDOW)
-            inside = (k >= -1.0) & (k <= 0.0)  # the core covers [-1, 1]
-            q = np.searchsorted(keys, np.where(inside, keys[0], k))
-            lr = np.where(inside, -np.inf, lref[q])
+            q = np.searchsorted(keys, start[blk])[:, None] + np.arange(_WINDOW)
+            lr = lref[q]
             # a unit panel's log terms are at most lr - d^2 / 2, d its distance to y
             d = np.maximum(np.abs(_UNIT_OFFSET + (f[:, None] - 0.5)) - 0.5, 0.0)
             ec = np.subtract(y[:, None, None], sh_nodes)
             np.square(ec, out=ec)
             ec *= -0.5
             ec += sh_lp
-            dy = ref - 0.5 * y * y
+            dy = ref - 0.5 * y * y - _DEEP * np.abs(y)
             c = np.maximum(np.maximum(ec.max(axis=(1, 2)), (lr - 0.5 * d * d).max(axis=1)), dy)
             ec -= c[:, None, None]
-            mc = np.empty((len(y), kc))
-            mc[:, shallow] = np.einsum("ikj,kj->ik", np.exp(ec, out=ec), sh_wt)
-            s = np.exp(dy - c)
-            powers = np.vander(np.where(s > 0.0, y, 0.0), _SERIES, increasing=True)
-            mc[:, deep] = s[:, None] * np.einsum("it,tp->ip", powers, M)
+            s = S[blk]
+            np.multiply(np.exp(dy - c)[:, None], np.vander(y, _SERIES, increasing=True), out=s)
+            far = Mcum[np.where(y < 0.0, Mcum.shape[0] - 1, len(th))]  # the deep block's total
+            inc = np.insert(np.einsum("ikj,kj->ik", np.exp(ec, out=ec), sh_wt), ns,
+                            (s * far).sum(axis=1), axis=1)
             # exp(lref - c - f g_i - f^2 / 2) sum_h table_ih p_h exp(f x_h), per panel i
-            mu = np.einsum("ikh,kh,ih->ik", np.take(unit_p, q, axis=0), _UNIT_TABLE,
-                           np.exp(np.multiply.outer(f, _UNIT_X)))
+            mu = np.take(unit_p, q, axis=0)
+            mu *= _UNIT_TABLE
+            mu = np.einsum("ikh,ih->ik", mu, np.exp(np.multiply.outer(f, _UNIT_X)))
             mu *= np.exp(lr - c[:, None] - np.multiply.outer(f, _UNIT_OFFSET)
                          - 0.5 * (f * f)[:, None])
-            total = mc.sum(axis=1) + mu.sum(axis=1)
+            total = inc.sum(axis=1) + mu.sum(axis=1)
             scale[blk] = c + np.log(total)
-            np.cumsum(mc / total[:, None], axis=1, out=C[blk, 1:])
+            s /= total[:, None]
+            inc /= total[:, None]
+            inc[:, ns] = (s * far).sum(axis=1)  # summed as _core_mass sums a deep edge
+            np.cumsum(inc, axis=1, out=E[blk, 1:])
             np.cumsum(mu / total[:, None], axis=1, out=U[blk, 1:])
         # per panel, the kc core panels and then one unit panel per key: left
         # edge, half width, nodes and log p(theta) at the nodes
-        return dict(edges=edges, keys=keys, start=start, U=U, C=C, scale=scale,
-                    mass=U[:, -1] + C[:, -1], left=np.concatenate([edges[:-1], keys]),
+        return dict(edges=edges, keys=keys, start=start, U=U, E=E, S=S, scale=scale, Mcum=Mcum,
+                    col=col, deep=qd,
+                    mass=U[:, -1] + E[:, -1], left=np.concatenate([edges[:-1], keys]),
                     half=np.concatenate([0.5 * np.diff(edges), np.full(keys.size, 0.5)]),
                     nodes=np.concatenate([nodes, keys[:, None] + _UNIT_X]),
                     lp=np.concatenate([core_lp, unit_lp]))
@@ -230,12 +253,10 @@ class PosteriorBatch:
         unit = ~core & (j >= 0.0) & (j < _WINDOW)
         p = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, kc - 1)
         ju = np.clip(j, 0, _WINDOW).astype(np.intp)
-        F = L["U"][r, ju]
-        below = np.where(core, L["C"][r, p], np.where(k >= 1.0, L["C"][r, kc], 0.0))
-        F += below
+        e = np.where(core, p, np.where(k >= 1.0, kc, 0))  # the core edge below t
+        F = L["U"][r, ju] + self._core_mass(r, e)
         if clip:  # the mass at the panel's right edge: one more core or unit panel
-            F_hi = L["U"][r, ju + unit]
-            F_hi += np.where(core, L["C"][r, np.minimum(p + 1, kc)], below)
+            F_hi = L["U"][r, ju + unit] + self._core_mass(r, e + core)
         # the panel of t: core panel p, or the unit panel of the key k
         pan = np.where(core, p, kc + np.searchsorted(L["keys"], np.where(unit, k, L["keys"][0])))
         e = L["lp"][pan]
@@ -256,9 +277,23 @@ class PosteriorBatch:
         out[2] /= half
         return out.reshape(shape)
 
+    def _core_mass(self, r, e):
+        """Core mass of the rows r below the core edges e: ``E``, plus inside
+        the deep block the row's S . Mcum[q], a dot that mixes no rows."""
+        L = self._law
+        out, q = L["E"][r, L["col"][e]], L["deep"][e]
+        deep = np.flatnonzero(q)
+        if deep.size:  # the rows of y < 0 read the second half of Mcum
+            rd = r[deep]
+            q = q[deep] + (self.Y[rd] < 0.0) * (L["Mcum"].shape[0] // 2)
+            out[deep] += (L["S"][rd] * L["Mcum"][q]).sum(axis=1)
+        return out
+
     def cdf_rows(self, t):
-        """Per-row CDF values; t may be scalar or one value per row."""
+        """Per-row CDF values; t may be scalar or one value per row, +-inf but not NaN."""
         tt = np.broadcast_to(np.asarray(t, dtype=float), (self.n,))
+        if np.isnan(tt).any():
+            raise ValueError(f"coordinate {int(np.argmax(np.isnan(tt)))}: point is NaN")
         return self._evaluate(np.arange(self.n), tt[:, None], clip=True)[0, :, 0]
 
     def _solve(self, key, base, signs, target, x, lo, hi):

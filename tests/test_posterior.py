@@ -1,6 +1,7 @@
 """Tests for the per-coordinate posterior law and its batch machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hsuq import kernels
 from hsuq.credible import covers, interval_batch
 from hsuq.experiments import NormalAround, ScenarioConfig, generate
 from hsuq.kernels import marginal_density, posterior_mean, posterior_variance
-from hsuq.posterior import _BLOCK, _STREAM, _SUB_BLOCK, PosteriorBatch, _node_law
+from hsuq.posterior import _BLOCK, _DEEP, _STREAM, _SUB_BLOCK, PosteriorBatch, _node_law
 from hsuq.tau import mmle
 
 from _oracles import (ThetaPosterior, direct_theta_law, marginal_cdf_quad, newton_quantile,
@@ -130,6 +131,17 @@ class TestCdf:
         assert cdf1(post, 43.0) > 1.0 - 1e-12
         assert cdf1(post, -math.inf) == 0.0
         assert cdf1(post, math.inf) == cdf1(post, 43.0)
+
+    def test_nan_point_names_its_coordinate(self):
+        # +-inf are valid points (test_limits); NaN is not, and raises before
+        # any cast of it warns
+        batch = PosteriorBatch([0.5, 2.0], 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, i in [(np.nan, 0), ([1.0, np.nan], 1)]:
+                with pytest.raises(ValueError, match=f"coordinate {i}: point is NaN"):
+                    batch.cdf_rows(t)
+            assert np.array_equal(batch.cdf_rows([-np.inf, np.inf]), [0.0, batch._law["mass"][1]])
 
     def test_against_quadrature_oracle(self):
         for y, tau in [(0.0, 0.1), (3.0, 0.1), (-2.5, 0.5)]:
@@ -505,27 +517,65 @@ class TestThetaLaw:
         batch = PosteriorBatch(Y, tau)
         law = batch._law
         U, C, scale = direct_theta_law(Y, tau)
-        assert_allclose(law["C"], C, rtol=0, atol=1e-14)
+        # E at the shallow edges and the ends of the deep block, and the deep
+        # edges inside it from the row's scaled powers S and the shared Mcum
+        table, inner = law["deep"] == 0, np.flatnonzero(law["deep"])
+        assert_allclose(law["E"][:, law["col"][table]], C[:, table], rtol=0, atol=1e-14)
+        ns, half = law["E"].shape[1] // 2 - 1, law["Mcum"].shape[0] // 2
+        q = law["deep"][inner] + np.where(Y < 0.0, half, 0)[:, None]
+        series = law["E"][:, ns, None] + np.einsum("it,ipt->ip", law["S"], law["Mcum"][q])
+        assert_allclose(series, C[:, inner], rtol=0, atol=1e-14)
         assert_allclose(law["U"], U, rtol=0, atol=1e-14)
         assert_allclose(law["scale"], scale, rtol=1e-14, atol=1e-14)
         r = batch.radius_batch(0.05)
-        law.update(U=U, C=C, scale=scale, mass=U[:, -1] + C[:, -1])
+        law.update(U=U, E=C[:, table], scale=scale, mass=U[:, -1] + C[:, -1])
         assert_allclose(r, batch.radius_batch(0.05), rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.2, 1e-4, 1e-8])
+    def test_cdf_at_every_core_edge(self, tau):
+        # the evaluator's mass at each core edge, deep ones from the series,
+        # against one exp per node; across the deep block's ends at +-_DEEP,
+        # where the table meets the series, the cdf does not decrease
+        Y = np.array([-9.5, -0.3, 0.0, 2.2, 12.0, 40.0])
+        edges = one(0.0, tau)._law["edges"]
+        U, C, _ = direct_theta_law(Y, tau)
+        below = np.clip(np.floor(edges) - np.floor(Y)[:, None] + 10.0, 0, 21).astype(int)
+        want = np.take_along_axis(U, below, axis=1) + C
+        for i, y in enumerate(Y):
+            batch = PosteriorBatch(np.full(edges.size, y), tau)
+            assert_allclose(batch.cdf_rows(edges), want[i], rtol=0, atol=1e-14)
+            for d in (-_DEEP, _DEEP):
+                lo, at, hi = (float(batch.cdf_rows(x)[0])
+                              for x in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)))
+                assert lo <= at <= hi
+
+    def test_row_storage_does_not_grow_as_tau_falls(self):
+        # a row keeps its shallow edge masses, its scaled powers, its unit
+        # window and its scale, whatever the number of core panels (118 at
+        # tau = 0.5, 170 at 1e-8); the deep moments are shared
+        widths = {}
+        for tau in (0.5, 1e-8):
+            small, large = (PosteriorBatch(np.full(n, 0.7), tau)._law for n in (3, 6))
+            rows = [key for key in small if np.shape(large[key])[:1] == (6,)
+                    and np.shape(small[key])[:1] == (3,)]
+            widths[tau] = {key: np.size(small[key]) // 3 for key in rows}
+        assert widths[0.5] == widths[1e-8]
+        assert sum(widths[0.5].values()) <= 64
+
     def test_rows_are_bit_identical_in_any_batch(self):
-        # a row's masses and scale depend on its own y only: not on its
-        # position, the other rows or the build's row blocks
+        # a row's masses, scaled powers and scale depend on its own y only:
+        # not on its position, the other rows or the build's row blocks
         rng = np.random.default_rng(19)
         for n, tau, spread in [(600, 0.05, 1.0), (300, 1e-6, 30.0), (257, 0.7, 5.0)]:
             Y = spread * rng.standard_normal(n)
             law = PosteriorBatch(Y, tau)._law
             perm = rng.permutation(n)
             shuffled = PosteriorBatch(Y[perm], tau)._law
-            for key in ("C", "U", "scale"):
+            for key in ("E", "S", "U", "scale"):
                 assert np.array_equal(shuffled[key], law[key][perm])
             for i in rng.choice(n, 4, replace=False):
                 single = PosteriorBatch(Y[i:i + 1], tau)._law
-                for key in ("C", "U", "scale"):
+                for key in ("E", "S", "U", "scale"):
                     assert np.array_equal(single[key][0], law[key][i])
 
     def test_tiny_tau_keeps_the_slab(self):

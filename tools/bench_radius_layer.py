@@ -9,8 +9,10 @@ the largest absolute movement of the layer's output between the trees.
         --runs 10 --out BENCH_radius_layer.json
 
 The inputs are eb_study replications (n = 400, 20 signals around twice the
-universal threshold) at their MMLE tau, as in ``perfbench``. Times are the
-median over 7 repeats within a process, then the median over processes.
+universal threshold) at their MMLE tau, as in ``perfbench``; the theta law is
+also built at tau = 1e-6 on the same rows, where the core has more panels.
+Times are the median over 7 repeats within a process, then the median over
+processes.
 """
 
 import argparse
@@ -29,6 +31,7 @@ LAYERS = {
     "PosteriorBatch._evaluate (50 rows)": "evaluate50",
     "PosteriorBatch._evaluate (350 rows)": "evaluate350",
     "PosteriorBatch._law (400 rows)": "law",
+    "PosteriorBatch._law (400 rows, tau = 1e-6)": "law_tiny",
     "PosteriorBatch.radius_batch (solve, 400 rows)": "solve",
     "PosteriorBatch means + variances (400 rows)": "moments",
     "eb_study op (run_scenario)": "op",
@@ -68,8 +71,8 @@ def child(src, out):
         t = warm.means[idx, None] + np.array([1.0, -1.0]) * r0[idx, None]
         return lambda: warm._evaluate(idx, t)
 
-    def law():
-        return PosteriorBatch(Y, tau)._law["mass"]
+    def law(at):
+        return lambda: PosteriorBatch(Y, at)._law["mass"]
 
     def moments():
         batch = PosteriorBatch(Y, tau)
@@ -87,7 +90,8 @@ def child(src, out):
         "interp": (lambda: kernels._panel_interp(f, s), 200),
         "evaluate50": (evaluate(50), 100),
         "evaluate350": (evaluate(350), 50),
-        "law": (law, 10),
+        "law": (law(tau), 10),
+        "law_tiny": (law(1e-6), 10),
         "solve": (lambda: warm.radius_batch(0.05), 10),
         "moments": (moments, 10),
         "op": (op, 2),
