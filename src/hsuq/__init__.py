@@ -46,7 +46,7 @@ from .selection import (
     select_by_threshold,
     shrinkage_weight,
 )
-from .tau import TauEstimate, fixed_tau, mmle, simple_estimator
+from .tau import TauEstimate, mmle, simple_estimator
 from .experiments import ScenarioConfig, cli_main, run_scenario, verify_theory
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "credible_ball",
     "discovery_report",
     "excessive_bias_diagnostic",
-    "fixed_tau",
     "hb_ball",
     "hb_marginal_intervals",
     "integral_Ik",

@@ -72,7 +72,6 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "parse_config",
-    "build_scenario",
     "verify_theory",
     "THEORY_CHECKS",
     "cli_main",
@@ -484,7 +483,8 @@ def report_to_json(report):
 
 
 def parse_config(text):
-    """Parse flat `key = value` lines; # starts a comment."""
+    """Parse flat `key = value` lines (# starts a comment) into a ScenarioConfig;
+    absent keys keep its defaults."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -497,7 +497,12 @@ def parse_config(text):
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
-    return raw
+    missing = {"n", "p", "signal", "reps", "seed"} - raw.keys()
+    if missing:
+        raise ValueError(f"config missing required keys: {sorted(missing)}")
+    return ScenarioConfig(**{
+        name: parse(raw[key]) for key, (name, parse) in _CONFIG_FIELDS.items() if key in raw
+    })
 
 
 def _parse_signal(text):
@@ -545,16 +550,6 @@ _CONFIG_FIELDS = {
     "ball": ("ball", _parse_bool),
     "ball_draws": ("ball_draws", int),
 }
-
-
-def build_scenario(raw):
-    """Turn parsed config keys into a ScenarioConfig; absent keys keep its defaults."""
-    missing = {"n", "p", "signal", "reps", "seed"} - raw.keys()
-    if missing:
-        raise ValueError(f"config missing required keys: {sorted(missing)}")
-    return ScenarioConfig(**{
-        name: parse(raw[key]) for key, (name, parse) in _CONFIG_FIELDS.items() if key in raw
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -832,73 +827,62 @@ def _read_observations(path):
     return np.array(values)
 
 
-def _print_interval_csv(Y, intervals):
+def _print_rows(Y, **columns):
+    """Per-coordinate CSV on stdout: index, y, then each column, at 12 significant digits."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["index", "y", "center", "half_width", "lower", "upper"])
-    c, h = intervals.center, intervals.half_width
-    for i, row in enumerate(zip(Y, c, h, c - h, c + h)):
+    writer.writerow(["index", "y", *columns])
+    for i, row in enumerate(zip(Y, *columns.values())):
         writer.writerow([i] + [f"{v:.12g}" for v in row])
 
 
+def _print_intervals(Y, intervals):
+    c, h = intervals.center, intervals.half_width
+    _print_rows(Y, center=c, half_width=h, lower=c - h, upper=c + h)
+
+
 def _cmd_fit_tau(args):
-    Y = _read_observations(args.file)
     if args.method == "mmle":
-        est = mmle(Y)
+        est = mmle(args.Y)
     else:
-        est = simple_estimator(Y, c1=args.c1, c2=args.c2)
+        est = simple_estimator(args.Y, c1=args.c1, c2=args.c2)
     print(f"{est.tau:.12g}")
-    return 0
 
 
 def _cmd_intervals(args):
-    Y = _read_observations(args.file)
-    tau = _scale(Y, args.tau)
-    _print_interval_csv(Y, interval_batch(Y, tau, alpha=args.alpha, L=args.L))
-    print(f"# tau {tau.tau:.12g}")
-    return 0
+    _print_intervals(args.Y, interval_batch(args.Y, args.tau, alpha=args.alpha, L=args.L))
+    print(f"# tau {args.tau.tau:.12g}")
 
 
 def _cmd_ball(args):
-    Y = _read_observations(args.file)
-    tau = _scale(Y, args.tau)
-    ball = credible_ball(Y, tau, alpha=args.alpha, L=args.L, draws=args.draws,
+    ball = credible_ball(args.Y, args.tau, alpha=args.alpha, L=args.L, draws=args.draws,
                          rng=np.random.default_rng(args.seed))
     print(f"radius {ball.radius:.12g}")
     print(f"mc_se {ball.mc_se:.12g}")
     print(f"draws {ball.mc_draws}")
-    print(f"tau {tau.tau:.12g}")
-    return 0
+    print(f"tau {args.tau.tau:.12g}")
 
 
 def _cmd_hb(args):
-    Y = _read_observations(args.file)
     prior = HB_METHODS["hb-" + args.prior]()
-    chain = run_chain(Y, prior, iters=args.iters, burn_in=args.burnin,
+    chain = run_chain(args.Y, prior, iters=args.iters, burn_in=args.burnin,
                       thin=args.thin, seed=args.seed)
     if args.chain_csv:
         chain.to_csv(args.chain_csv)
-    _print_interval_csv(Y, hb_marginal_intervals(chain, alpha=args.alpha, L=args.L))
+    _print_intervals(args.Y, hb_marginal_intervals(chain, alpha=args.alpha, L=args.L))
     print(f"# tau_mean {float(chain.taus.mean()):.12g}")
-    return 0
 
 
 def _cmd_select(args):
-    Y = _read_observations(args.file)
-    tau = _scale(Y, args.tau)
     if args.rule == "interval":
-        sel = select_by_interval(interval_batch(Y, tau, alpha=args.alpha, L=args.L))
+        sel = select_by_interval(interval_batch(args.Y, args.tau, alpha=args.alpha, L=args.L))
     else:
-        sel = select_by_threshold(Y, tau, cutoff=args.cutoff)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["index", "y", "selected"])
-    for i, (y, s) in enumerate(zip(Y, sel.selected)):
-        writer.writerow([i, f"{y:.12g}", int(s)])
-    return 0
+        sel = select_by_threshold(args.Y, args.tau, cutoff=args.cutoff)
+    _print_rows(args.Y, selected=sel.selected)
 
 
 def _cmd_simulate(args):
     with open(args.config, encoding="utf-8") as fh:
-        config = build_scenario(parse_config(fh.read()))
+        config = parse_config(fh.read())
     report = run_scenario(config)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -910,7 +894,6 @@ def _cmd_simulate(args):
         fh.write(report_to_json(report))
     print(csv_path)
     print(json_path)
-    return 0
 
 
 def _cmd_verify(args):
@@ -993,13 +976,20 @@ def _build_parser():
 
 
 def cli_main(argv=None):
+    """Run one command and return its exit code. The data commands' file is read
+    into args.Y and --tau resolved to a scale here, once, before the handler runs;
+    a handler returns its exit code, None for 0."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if "file" in args:
+            args.Y = _read_observations(args.file)
+        if "tau" in args:
+            args.tau = _scale(args.Y, args.tau)
+        return args.func(args) or 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

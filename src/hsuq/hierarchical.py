@@ -430,11 +430,11 @@ def verify_hyperprior(prior, rate, Cu, c=None):
     """Numeric check of the hyperprior conditions at a given sparsity rate.
 
     Reports whether the support stays inside [1/n, 1] and the prior mass
-    on [t_n/2, t_n] for t_n = Cu * pi^(3/2) * tau_n. The same mass is
-    compared against two thresholds: exp(-c*p) for the strong condition
-    (c defaults to Cu/4) and t_n itself for the weak one. Thresholds are
-    reported, not enforced; the asymptotic statements hide constants, so
-    pass/fail is the caller's judgment.
+    on [t_n/2, t_n] for t_n = Cu * pi^(3/2) * tau_n, the one mass that
+    both conditions bound: by exp(-c*p) for the strong one (c defaults to
+    Cu/4) and by t_n for the weak one. Thresholds are reported, not
+    enforced; the asymptotic statements hide constants, so pass/fail is
+    the caller's judgment.
     """
     from scipy.integrate import quad
 
@@ -456,8 +456,7 @@ def verify_hyperprior(prior, rate, Cu, c=None):
         mass = quad(lambda t: prior.density(t, n), aa, bb)[0] if bb > aa else 0.0
     return {
         "cond2": bool(lo >= 1.0 / n and hi <= 1.0),
-        "cond3_mass": float(mass),
-        "cond4_mass": float(mass),
+        "mass": float(mass),
         "t_n": float(t_n),
         "cond3_threshold": float(math.exp(-c * rate.p)),
         "cond4_threshold": float(t_n),

@@ -16,13 +16,12 @@ from numpy.polynomial import chebyshev as C
 
 from .kernels import GlobalScale, _as_obs, _tau_sweep, _tau_value, log_marginal_lik, score_m, zeta
 
-__all__ = ["TauMethod", "TauEstimate", "mmle", "simple_estimator", "score_sum", "fixed_tau"]
+__all__ = ["TauMethod", "TauEstimate", "mmle", "simple_estimator", "score_sum"]
 
 
 class TauMethod(Enum):
     MMLE = "mmle"
     SIMPLE = "simple"
-    FIXED = "fixed"
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,3 @@ def simple_estimator(Y, c1=2.0, c2=1.0) -> TauEstimate:
     clamped = min(max(raw, 1.0 / n), 1.0)
     diagnostics = {"count": count, "threshold": threshold, "raw": raw}
     return TauEstimate(GlobalScale(clamped), TauMethod.SIMPLE, diagnostics)
-
-
-def fixed_tau(value) -> TauEstimate:
-    """Wrap a user-chosen scale so downstream code sees one estimate type."""
-    return TauEstimate(GlobalScale(_tau_value(value)), TauMethod.FIXED, {})

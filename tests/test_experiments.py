@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsuq.credible import credible_ball, interval_batch
+from hsuq.credible import covers, credible_ball, interval_batch
 from hsuq.experiments import (
     THEORY_CHECKS,
     FixedValue,
@@ -23,7 +23,6 @@ from hsuq.experiments import (
     ThreeGroup,
     UnboundedScale,
     aggregate,
-    build_scenario,
     cli_main,
     generate,
     parse_config,
@@ -158,6 +157,10 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="alphanumeric"):
             _config(name="bad name!")
 
+    def test_signal_must_be_a_signal_spec(self):
+        with pytest.raises(ValueError, match="unrecognized signal spec 'fixed:4'"):
+            _config(signal="fixed:4")
+
     def test_fixed_method_string_accepted(self):
         cfg = _config(methods=("fixed:0.25",))
         assert cfg.methods == ("fixed:0.25",)
@@ -172,7 +175,7 @@ class TestScenarioConfig:
             _config(methods=("eb-mmle", method))
         text = f"n = 50\np = 2\nsignal = fixed:3\nreps = 1\nseed = 0\nmethods = {method}"
         with pytest.raises(ValueError, match=f"method '{method}'"):
-            build_scenario(parse_config(text))
+            parse_config(text)
 
     @pytest.mark.parametrize("overrides, key", [
         (dict(methods=("hb-tcauchy",), hb_iters=0), "hb_iters"),
@@ -196,7 +199,7 @@ class TestScenarioConfig:
         text = ("n = 50\np = 2\nsignal = fixed:3\nreps = 1\nseed = 0\n"
                 "methods = hb-tcauchy\nhb_iters = 0")
         with pytest.raises(ValueError, match="hb_iters"):
-            build_scenario(parse_config(text))
+            parse_config(text)
 
 
 class TestRunMethod:
@@ -420,14 +423,14 @@ class TestConfigParsing:
         methods = eb-mmle, fixed:0.2
         threshold = yes
         """
-        cfg = build_scenario(parse_config(text))
+        cfg = parse_config(text)
         assert cfg.name == "demo"
         assert cfg.signal == ThreeGroup((3, 3, 4))
         assert cfg.methods == ("eb-mmle", "fixed:0.2")
         assert cfg.threshold is True
 
     def test_absent_keys_keep_the_dataclass_defaults(self):
-        cfg = build_scenario(parse_config("n = 50\np = 2\nsignal = fixed:3\nreps = 4\nseed = 9"))
+        cfg = parse_config("n = 50\np = 2\nsignal = fixed:3\nreps = 4\nseed = 9")
         assert cfg == ScenarioConfig(n=50, p=2, signal=FixedValue(3.0), reps=4, seed=9)
 
     def test_unknown_key(self):
@@ -436,16 +439,16 @@ class TestConfigParsing:
 
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing required"):
-            build_scenario(parse_config("n = 10"))
+            parse_config("n = 10")
 
     def test_signal_strings(self):
         base = "n = 50\np = 2\nreps = 1\nseed = 0\n"
-        cfg = build_scenario(parse_config(base + "signal = normal:4:0.5"))
+        cfg = parse_config(base + "signal = normal:4:0.5")
         assert cfg.signal == NormalAround(4.0, 0.5)
-        cfg = build_scenario(parse_config(base + "signal = cauchy"))
+        cfg = parse_config(base + "signal = cauchy")
         assert cfg.signal == FromDistribution("cauchy")
         with pytest.raises(ValueError, match="unrecognized signal"):
-            build_scenario(parse_config(base + "signal = spikes"))
+            parse_config(base + "signal = spikes")
 
     def test_bad_line(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -454,7 +457,29 @@ class TestConfigParsing:
     def test_bad_bool(self):
         base = "n = 50\np = 2\nsignal = fixed:3\nreps = 1\nseed = 0\n"
         with pytest.raises(ValueError, match="boolean"):
-            build_scenario(parse_config(base + "threshold = maybe"))
+            parse_config(base + "threshold = maybe")
+
+    def test_false_spellings_of_a_bool(self):
+        base = "n = 50\np = 2\nsignal = fixed:3\nreps = 1\nseed = 0\n"
+        for text in ("no", "False", "0"):
+            assert parse_config(base + f"threshold = {text}").threshold is False
+
+    @pytest.mark.parametrize("signal, reason", [
+        ("normal:1:2:3", r"normal signal takes A\[:sd\], got 'normal:1:2:3'"),
+        ("three_group:1,2", "three_group needs three nonnegative counts, got 'three_group:1,2'"),
+    ])
+    def test_malformed_signal_parameters(self, signal, reason):
+        with pytest.raises(ValueError, match=reason):
+            parse_config(f"n = 50\np = 3\nreps = 1\nseed = 0\nsignal = {signal}")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("n = 1", "need n >= 2, got 1"),
+        ("methods = ,", "need at least one method"),
+    ])
+    def test_values_checked_by_the_scenario(self, line, reason):
+        text = "n = 50\np = 1\nsignal = fixed:3\nreps = 1\nseed = 0\n"
+        with pytest.raises(ValueError, match=reason):
+            parse_config(text + line)
 
 
 class TestVerifyTheory:
@@ -564,6 +589,9 @@ class TestCli:
         assert "got 'nn'" in capsys.readouterr().err
         assert cli_main(["verify", "moment-constant", "n=abc"]) == 2
         assert "parameter 'n'" in capsys.readouterr().err
+        assert cli_main(["verify", "moment-constant", "nn"]) == 2
+        assert capsys.readouterr().err == (
+            "error: check parameters look like key=value, got 'nn'\n")
 
     def test_simulate_outputs_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
@@ -611,6 +639,52 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("radius ")
         assert "mc_se " in out
+
+    def test_fit_tau_simple_counts_exceedances(self, tmp_path, capsys):
+        # four of twenty values pass sqrt(2 log 20), so tau = 4 / (c1 * 20)
+        obs = tmp_path / "obs.txt"
+        self._write_obs(obs, [10.0, -10.0] * 2 + [0.0] * 16)
+        assert cli_main(["fit-tau", str(obs), "--method", "simple"]) == 0
+        assert capsys.readouterr().out == "0.1\n"
+        assert cli_main(["fit-tau", str(obs), "--method", "simple", "--c1", "3"]) == 0
+        assert capsys.readouterr().out == "0.0666666666667\n"
+
+    def test_select_interval_rule(self, tmp_path, capsys):
+        Y = [6.0, 0.1, -0.3, 5.5]
+        obs = tmp_path / "obs.txt"
+        self._write_obs(obs, Y)
+        assert cli_main(["select", str(obs), "--rule", "interval", "--tau", "0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        excludes_zero = ~covers(interval_batch(Y, 0.1, alpha=0.05), 0.0)
+        assert lines == ["index,y,selected"] + [
+            f"{i},{y:g},{int(s)}" for i, (y, s) in enumerate(zip(Y, excludes_zero))]
+        assert excludes_zero.tolist() == [True, False, False, True]
+
+    def test_blank_lines_in_the_observation_file_are_skipped(self, tmp_path, capsys):
+        obs = tmp_path / "obs.txt"
+        obs.write_text("3.0\n\n0.5\n   \n-1.0\n")
+        assert cli_main(["intervals", str(obs), "--tau", "0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[:2] for line in lines[1:-1]] == [
+            ["0", "3"], ["1", "0.5"], ["2", "-1"]]
+
+    def test_one_observation_is_an_input_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.txt"
+        obs.write_text("2.0\n")
+        assert cli_main(["intervals", str(obs), "--tau", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {obs}: need at least two observations, got 1\n"
+
+    def test_numerical_failure_exits_one(self, tmp_path, capsys):
+        # no finite radius holds all but 1e-20 of the posterior mass
+        obs = tmp_path / "obs.txt"
+        self._write_obs(obs, [3.0, 0.5, -1.0])
+        assert cli_main(["intervals", str(obs), "--tau", "0.1", "--alpha", "1e-20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: no finite root reaches the target mass\n")
 
 
 def test_infinite_blowup_is_rejected_everywhere(tmp_path, capsys):

@@ -689,6 +689,10 @@ class TestTauLaw:
 
 
 class TestChainExport:
+    def test_chain_needs_one_tau_per_draw(self):
+        with pytest.raises(ValueError, match="one tau per draw"):
+            Chain(thetas=np.zeros((10, 3)), taus=np.full(9, 0.1), burn_in=0, thin=1, seed=0)
+
     def test_csv_roundtrip(self, tmp_path):
         Y = _mixed_data(n=5, seed=12)
         chain = run_chain(Y, HyperPrior.point_mass(0.2), iters=300, burn_in=100, thin=2, seed=9)
@@ -735,7 +739,7 @@ class TestVerifyHyperprior:
         lo, hi = max(t_n / 2.0, 1.0 / 400), min(t_n, 1.0)
         expected = (hi - lo) / (1.0 - 1.0 / 400)
         assert out["cond2"]
-        assert out["cond3_mass"] == pytest.approx(expected, rel=1e-10)
+        assert out["mass"] == pytest.approx(expected, rel=1e-10)
 
     def test_truncated_cauchy_mass_matches_arctan_form(self):
         rate = SparsityRate(400, 60)
@@ -744,16 +748,17 @@ class TestVerifyHyperprior:
         lo, hi = max(t_n / 2.0, 1.0 / 400), min(t_n, 1.0)
         expected = (math.atan(hi) - math.atan(lo)) / (math.atan(1.0) - math.atan(1.0 / 400))
         assert out["cond2"]
-        assert out["cond3_mass"] == pytest.approx(expected, rel=1e-10)
-        assert out["cond4_mass"] == out["cond3_mass"]
+        assert out["mass"] == pytest.approx(expected, rel=1e-10)
+        # one mass serves both conditions; each keeps its own threshold
+        assert set(out) == {"cond2", "mass", "t_n", "cond3_threshold", "cond4_threshold"}
+        assert out["cond4_threshold"] == out["t_n"]
 
     def test_dense_regime_clears_the_strong_threshold(self):
         # Once the signal count is a decent multiple of log n, the
         # truncated Cauchy keeps enough mass near t_n to clear exp(-c*p).
         rate = SparsityRate(400, 60)
         out = verify_hyperprior(HyperPrior.truncated_half_cauchy(), rate, Cu=1.0)
-        assert out["cond3_mass"] >= out["cond3_threshold"]
-        assert out["cond4_mass"] >= 0.0
+        assert out["mass"] >= out["cond3_threshold"]
 
     def test_untruncated_cauchy_fails_support_check(self):
         out = verify_hyperprior(HyperPrior.half_cauchy(), SparsityRate(400, 60), Cu=1.0)
@@ -764,8 +769,8 @@ class TestVerifyHyperprior:
         t_n = verify_hyperprior(HyperPrior.point_mass(0.5), rate, Cu=1.0)["t_n"]
         inside = verify_hyperprior(HyperPrior.point_mass(0.75 * t_n), rate, Cu=1.0)
         outside = verify_hyperprior(HyperPrior.point_mass(0.25 * t_n), rate, Cu=1.0)
-        assert inside["cond3_mass"] == 1.0
-        assert outside["cond3_mass"] == 0.0
+        assert inside["mass"] == 1.0
+        assert outside["mass"] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

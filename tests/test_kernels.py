@@ -593,6 +593,8 @@ class TestTypes:
             SparsityRate(p=0, n=400)
         with pytest.raises(ValueError):
             SparsityRate(p=401, n=400)
+        with pytest.raises(ValueError, match="n and p must be integers"):
+            SparsityRate(2.5, 1)
 
     def test_kernel_order(self):
         assert KernelOrder(-0.5).k == -0.5

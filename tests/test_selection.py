@@ -79,6 +79,15 @@ class TestShrinkageWeight:
     def test_even_in_y(self):
         assert shrinkage_weight(-3.0, 0.1) == shrinkage_weight(3.0, 0.1)
 
+    @pytest.mark.xfail(strict=True, reason="exp of a difference of two logs that each "
+                       "carry y^2/2 loses digits: 7.3e-12 low at y = 1e3, 2.4e-9 at 1e4, "
+                       "and exactly 1.0 at 1e6")
+    def test_large_observations_keep_their_digits(self):
+        # the reference is jz / j0 of one moment pass, which the mean over y gives
+        Y = np.array([1e3, 1e4, 1e6])
+        np.testing.assert_allclose(shrinkage_weight(Y, 0.1), posterior_mean(Y, 0.1) / Y,
+                                   rtol=1e-13, atol=0.0)
+
 
 class TestThresholdRule:
     def test_origin_not_selected_at_default_cutoff(self):

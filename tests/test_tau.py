@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from hsuq.credible import excessive_bias_diagnostic
 from hsuq.kernels import SparsityRate, _tau_sweep, log_marginal_lik, score_m
-from hsuq.tau import TauMethod, fixed_tau, mmle, score_sum, simple_estimator
+from hsuq.tau import TauMethod, mmle, score_sum, simple_estimator
 
 from _oracles import crit09_data, grid_mmle, loop_mmle, traced_peak
 
@@ -200,13 +200,6 @@ class TestSimpleEstimator:
             simple_estimator(Y, c1=0.5)
         with pytest.raises(ValueError):
             simple_estimator(Y, c2=0.0)
-
-
-class TestFixedTau:
-    def test_wraps_value(self):
-        est = fixed_tau(0.25)
-        assert est.tau == 0.25
-        assert est.method is TauMethod.FIXED
 
 
 class TestSparseCalibration:
